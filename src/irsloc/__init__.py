@@ -9,7 +9,7 @@ Library layout:
 * :mod:`irsloc.chanest` -- sign-ambiguous channel estimation
   (initialization + coordinate-descent ML refinement);
 * :mod:`irsloc.bqp` -- exact sign-vector quadratic / ratio maximization
-  (branch and bound, Dinkelbach, ILP cross-check);
+  (split-table enumeration, Dinkelbach, ILP cross-check);
 * :mod:`irsloc.localize` -- per-cycle Bayesian multi-hypothesis
   localization engine;
 * :mod:`irsloc.waveopt` -- joint transmit-waveform / IRS-phase design by

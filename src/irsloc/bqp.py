@@ -3,9 +3,9 @@
 Two layers:
 
 * ``quad_binary_max`` solves max_{delta in {-1,+1}^N} delta^H R delta
-  exactly with a depth-first branch-and-bound whose node bound adds the
-  absolute couplings of all undetermined pairs (admissible, so pruned
-  subtrees never hide the optimum);
+  exactly by enumerating all 2^(N-1) sign vectors through split tables:
+  with delta = [1, p, q], each value is a prefix form plus a suffix form
+  plus one entry of a prefix-by-suffix matrix product;
 * ``dinkelbach_solve`` maximizes a ratio of two such forms via the
   classical parametric sequence y <- num(delta)/den(delta), each inner
   problem solved exactly, which makes the y-sequence nondecreasing and the
@@ -14,8 +14,9 @@ Two layers:
 Only the real parts of the couplings matter: for real sign vectors,
 delta^H R delta = sum_i r_ii + sum_{i>j} 2 Re(r_ij) delta_i delta_j.  All
 reported values are evaluated through one canonical quadratic-form routine
-so that independently found optima (branch-and-bound, enumeration, ILP
-reconstruction) agree bit-for-bit.
+so that independently found optima (table enumeration, brute force, ILP
+reconstruction) agree bit-for-bit; ties go to the first maximizer in the
+order of :func:`sign_vectors`.
 
 The equivalent integer linear program (products of binaries replaced by
 McCormick-linked auxiliaries) is kept as a cross-check path via
@@ -25,6 +26,7 @@ McCormick-linked auxiliaries) is kept as a cross-check path via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -47,24 +49,23 @@ def quad_form_value(r: np.ndarray, delta: np.ndarray) -> float:
     return float(d @ s @ d)
 
 
-def brute_force_max(r: np.ndarray, cap: int = 20):
-    """Exhaustive maximizer over sign vectors (oracle; first coord fixed +1).
+def sign_vectors(n: int) -> np.ndarray:
+    """The 2^(n-1) sign vectors of length n with first entry +1, as rows, in
+    canonical order: bit (n-2-i) of the row index set means delta_{i+1} = -1."""
+    idx = np.arange(2 ** (n - 1))[:, None]
+    bits = (idx >> np.arange(n - 2, -1, -1)) & 1
+    return np.hstack([np.ones((idx.shape[0], 1)), 1.0 - 2.0 * bits])
 
-    Enumeration order makes the first argmax hit the canonical
-    representative: +1 tried before -1 position by position.
-    """
+
+def brute_force_max(r: np.ndarray, cap: int = 20):
+    """Exhaustive oracle: the first argmax of an ``einsum`` over every row of
+    :func:`sign_vectors`, independent of the table arithmetic."""
     n = r.shape[0]
     if n > cap:
         raise SizeCapError(f"refusing brute force for N={n} > {cap}")
-    s = np.real(r)
-    idx = np.arange(2 ** (n - 1), dtype=np.uint64)[:, None]
-    # bit (n-2-i) drives variable i+1; bit set means -1
-    shifts = np.arange(n - 2, -1, -1, dtype=np.uint64)[None, :]
-    bits = (idx >> shifts) & 1
-    deltas = np.hstack([np.ones((idx.shape[0], 1)), 1.0 - 2.0 * bits])
-    values = np.einsum("bi,ij,bj->b", deltas, s, deltas)
-    best = int(np.argmax(values))
-    delta = deltas[best]
+    deltas = sign_vectors(n)
+    values = np.einsum("bi,ij,bj->b", deltas, np.real(r), deltas)
+    delta = deltas[int(np.argmax(values))]
     return delta, quad_form_value(r, delta)
 
 
@@ -79,6 +80,7 @@ def _local_search(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Greedy single-flip ascent on delta^T S delta, first coordinate pinned."""
     n = s.shape[0]
     delta = delta.copy()
+    min_gain = 1e-12 * np.abs(s).sum(axis=1)  # rounding at each row's scale
     improved = True
     while improved:
         improved = False
@@ -86,41 +88,64 @@ def _local_search(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
         for i in range(1, n):
             # flipping delta_i changes the value by -4 delta_i (field_i - s_ii delta_i)
             gain = -4.0 * delta[i] * (field_vec[i] - s[i, i] * delta[i])
-            if gain > 1e-12 * max(1.0, abs(field_vec[i])):
+            if gain > min_gain[i]:
                 delta[i] = -delta[i]
                 field_vec = s @ delta
                 improved = True
     return delta
 
 
+def _near_max_vectors(s: np.ndarray):
+    """Sign vectors, in canonical order, whose table value is near the max.
+
+    With delta = [a, q], a = [1, p], the table a^T S11 a + q^T S22 q +
+    a^T (2 S12) q is built one block of prefixes at a time.  The band,
+    1e-9 sum|s_ij|, is far above the rounding of the table and of
+    ``quad_form_value`` at any scale.
+    """
+    n = s.shape[0]
+    k = n - n // 2
+    pre = sign_vectors(k)
+    suf = sign_vectors(n // 2 + 1)[:, 1:]
+    pre_val = np.einsum("bi,ij,bj->b", pre, s[:k, :k], pre)
+    suf_val = np.einsum("bi,ij,bj->b", suf, s[k:, k:], suf)
+    cross = pre @ (2.0 * s[:k, k:])
+    band = 1e-9 * float(np.abs(s).sum())
+    rows = max(1, 2 ** 15 // len(suf))  # about 2^15 entries per block
+    top, hits, hit_values = -np.inf, [], []
+    for start in range(0, len(pre), rows):
+        block = (cross[start:start + rows] @ suf.T
+                 + pre_val[start:start + rows, None] + suf_val).ravel()
+        top = max(top, float(block.max()))
+        keep = np.flatnonzero(block >= top - band)
+        hits.append(keep + start * len(suf))
+        hit_values.append(block[keep])
+    for i in np.concatenate(hits)[np.concatenate(hit_values) >= top - band]:
+        yield np.concatenate([pre[i // len(suf)], suf[i % len(suf)]])
+
+
 def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
-                    exact_cap: int = 24,
-                    allow_heuristic: bool = False) -> BqpResult:
+                    exact_cap: int = 24, allow_heuristic: bool = False,
+                    scale: float | None = None) -> BqpResult:
     """Global maximizer of delta^H R delta over {-1,+1}^N.
 
-    Depth-first branch and bound in natural variable order, +1 branch
-    first, first coordinate pinned to +1 (sign symmetry).  ``initial``
-    seeds the incumbent (warm start).  Sizes above ``exact_cap`` raise
-    unless ``allow_heuristic``, in which case a flagged local-search
-    solution is returned.
+    Split-table enumeration, first coordinate pinned to +1 (sign symmetry).
+    Starting from all-ones, then ``initial`` (warm start), each table
+    entry near the maximum replaces the incumbent, in enumeration order,
+    only if strictly better by :func:`quad_form_value`.  Sizes above
+    ``exact_cap`` raise unless ``allow_heuristic`` (flagged local search).
+    ``r`` must be Hermitian relative to ``scale`` (default: max |r_ij|).
     """
     r = np.asarray(r)
     n = r.shape[0]
-    if r.shape != (n, n) or not is_hermitian(r):
+    if r.shape != (n, n) or not is_hermitian(r, scale=scale):
         raise ValueError("expected a Hermitian matrix")
-    s = np.real(r).copy()
-    s = (s + s.T) / 2.0
-
-    def canonical(delta):
-        d = np.asarray(delta, dtype=float)
-        return d if d[0] > 0 else -d
-
-    if n == 1:
-        return BqpResult(np.ones(1), quad_form_value(r, np.ones(1)), True)
+    s = (np.real(r) + np.real(r).T) / 2.0
 
     candidates = [np.ones(n)]
     if initial is not None:
-        candidates.append(canonical(initial))
+        d = np.asarray(initial, dtype=float)
+        candidates.append(d if d[0] > 0 else -d)
 
     if n > exact_cap:
         if not allow_heuristic:
@@ -131,40 +156,11 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
                      key=lambda d: quad_form_value(r, d))
         return BqpResult(best_d, quad_form_value(r, best_d), False)
 
-    couplings = 2.0 * np.tril(s, -1)  # row i holds 2*Re r_ij, j < i
-    rowabs = np.abs(couplings).sum(axis=1)
-    # residual[k]: coupling mass of all pairs whose larger index is >= k
-    residual = np.concatenate([np.cumsum(rowabs[::-1])[::-1], [0.0]])
-
-    best_delta = None
-    best_value = -np.inf
-    for cand in candidates:
-        val = quad_form_value(r, cand)
-        if val > best_value:
-            best_value, best_delta = val, cand
-    diag_sum = float(np.trace(s))
-    slack = 1e-12 * max(1.0, abs(best_value))
-
-    delta = np.ones(n)
-    # stack of (depth, sign, fixed coupling value before assigning depth)
-    stack = [(1, -1.0, 0.0), (1, 1.0, 0.0)]
-    while stack:
-        depth, sign, fixed = stack.pop()
-        delta[depth] = sign
-        fixed = fixed + sign * float(couplings[depth, :depth] @ delta[:depth])
-        if depth == n - 1:
-            value = quad_form_value(r, delta)
-            if value > best_value:
-                best_value = value
-                best_delta = delta.copy()
-                slack = 1e-12 * max(1.0, abs(best_value))
-            continue
-        bound = diag_sum + fixed + residual[depth + 1]
-        if bound <= best_value - slack:
-            continue
-        stack.append((depth + 1, -1.0, fixed))
-        stack.append((depth + 1, 1.0, fixed))
-
+    best_delta, best_value = None, -np.inf
+    for cand in chain(candidates, _near_max_vectors(s)):
+        value = quad_form_value(r, cand)
+        if value > best_value:
+            best_value, best_delta = value, cand
     return BqpResult(best_delta, best_value, True)
 
 
@@ -186,7 +182,7 @@ class RatioProblem:
             mat = np.asarray(mat)
             if not is_hermitian(mat):
                 raise ValueError(f"{name} must be Hermitian")
-            scale = max(1.0, float(np.abs(mat).max()))
+            scale = float(np.abs(mat).max())
             if np.linalg.eigvalsh(mat).min() < -1e-9 * scale:
                 raise ValueError(f"{name} must be positive semidefinite")
 
@@ -231,8 +227,11 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
     iterations = 0
     for iterations in range(1, max_iters + 1):
         shifted = prob.numerator - y * prob.denominator
+        # Hermitian up to its operands' rounding, which is all of it if they cancel
+        scale = np.abs(prob.numerator).max() + abs(y) * np.abs(prob.denominator).max()
         res = quad_binary_max(shifted, initial=delta, exact_cap=exact_cap,
-                              allow_heuristic=allow_heuristic)
+                              allow_heuristic=allow_heuristic,
+                              scale=float(scale))
         exact = exact and res.exact
         delta = res.delta
         y_new = prob.ratio(delta)

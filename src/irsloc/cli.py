@@ -144,7 +144,7 @@ def cmd_bqp_solve(args) -> int:
         "iterations": res.iterations,
     }
     if n <= 12:
-        best = max(prob.ratio(d) for d in _all_sign_vectors(n))
+        best = max(prob.ratio(d) for d in bqp.sign_vectors(n))
         payload["enumeration_ratio"] = best
         payload["verified"] = bool(abs(best - res.ratio) <= 1e-9 * max(1.0, best))
     out = Path(args.out)
@@ -155,15 +155,6 @@ def cmd_bqp_solve(args) -> int:
     if args.verbose:
         print(f"wrote {path}", file=sys.stderr)
     return 0
-
-
-def _all_sign_vectors(n: int):
-    for bits in range(2 ** (n - 1)):
-        delta = np.ones(n)
-        for i in range(n - 1):
-            if bits >> i & 1:
-                delta[i + 1] = -1.0
-        yield delta
 
 
 def cmd_waveopt_trace(args) -> int:

@@ -145,6 +145,21 @@ def resolve_point(spec: ExperimentSpec, point: dict):
     return SceneConfig(**scene_kw), pilot_p, loc_p
 
 
+def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
+    """Resolve every sweep point; reject up front one that fails mid-run."""
+    resolved = []
+    for point in spec.sweep_points():
+        cfg, pilot_p, loc_p = resolve_point(spec, point)
+        if cfg.m_antennas < 3:
+            raise ValueError(f"sweep point {point}: channel initialization "
+                             f"needs m_antennas >= 3, got {cfg.m_antennas}")
+        if localization and cfg.n_elements > loc_p.exact_cap:
+            raise ValueError(f"sweep point {point}: n_elements={cfg.n_elements}"
+                             f" exceeds exact_cap {loc_p.exact_cap}")
+        resolved.append((point, cfg, pilot_p, loc_p))
+    return resolved
+
+
 def point_key(point: dict) -> tuple:
     return tuple(sorted(point.items()))
 
@@ -174,11 +189,6 @@ class ExperimentResult:
     resolved_spec: dict = field(default_factory=dict)
 
 
-def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    out = dataclasses.asdict(spec)
-    return out
-
-
 def estimate_channel_once(cfg: SceneConfig, params: PilotParams, seed_scene,
                           seed_noise, g_true_trace: bool = False):
     """One pilot round plus estimation; returns (scene, estimate, ne)."""
@@ -198,8 +208,7 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Average normalized channel error per sweep point."""
     spec.validate()
     point_rows, trial_rows, conv_rows = [], [], []
-    for point in spec.sweep_points():
-        cfg, pilot_p, _ = resolve_point(spec, point)
+    for point, cfg, pilot_p, _ in _resolve_points(spec, localization=False):
         key = point_key(point)
         errors = []
         for trial in range(spec.trials):
@@ -229,7 +238,7 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(kind="chanest", point_rows=point_rows,
                             trial_rows=trial_rows, tables=tables,
                             master_seed=spec.master_seed,
-                            resolved_spec=_spec_as_dict(spec))
+                            resolved_spec=dataclasses.asdict(spec))
 
 
 def run_localization_trial(cfg: SceneConfig, pilot_p: PilotParams,
@@ -300,8 +309,7 @@ def run_localization_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Correct-localization probability per cycle and threshold statistics."""
     spec.validate()
     point_rows, trial_rows, curve_rows, diag_rows = [], [], [], []
-    for point in spec.sweep_points():
-        cfg, pilot_p, loc_p = resolve_point(spec, point)
+    for point, cfg, pilot_p, loc_p in _resolve_points(spec, localization=True):
         key = point_key(point)
         max_cycles = loc_p.max_cycles
         correct = np.zeros((spec.trials, max_cycles), dtype=bool)
@@ -346,7 +354,7 @@ def run_localization_campaign(spec: ExperimentSpec) -> ExperimentResult:
                             tables={"curve": curve_rows,
                                     "diagnostics": diag_rows},
                             master_seed=spec.master_seed,
-                            resolved_spec=_spec_as_dict(spec))
+                            resolved_spec=dataclasses.asdict(spec))
 
 
 # ----------------------------------------------------------------- output

@@ -73,6 +73,8 @@ def random_unit_modulus(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(n))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.abs(a).max()))
+def is_hermitian(a: np.ndarray, tol: float = 1e-10,
+                 scale: float | None = None) -> bool:
+    """A == A^H up to ``tol`` times ``scale`` (default: A's largest entry)."""
+    scale = float(np.abs(a).max()) if scale is None else scale
     return bool(np.abs(a - a.conj().T).max() <= tol * scale)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+from irsloc import bqp
 from irsloc.bqp import (DegenerateRatioError, RatioProblem, SizeCapError,
                         brute_force_max, dinkelbach_solve, linearize,
-                        quad_binary_max, quad_form_value, solve_ilp)
-from irsloc.util import crandn
+                        quad_binary_max, quad_form_value, sign_vectors,
+                        solve_ilp)
+from irsloc.localize import hypothesis_design, joint_ml, simulate_echo
+from irsloc.scene import SceneConfig, synthesize_scene
+from irsloc.util import crandn, random_unit_modulus
 
 
 def random_hermitian(rng, n, scale=1.0):
@@ -43,8 +47,27 @@ def test_three_variable_example():
     assert quad_form_value(r, np.array([1.0, 1.0, 1.0])) == pytest.approx(2.0)
 
 
-def test_branch_and_bound_matches_enumeration():
+def test_sign_vectors_canonical_order():
+    # oracle loop: bit (n-2-i) of the row index set means delta_{i+1} = -1
+    n = 5
+    rows = sign_vectors(n)
+    assert rows.shape == (2 ** (n - 1), n)
+    for b in range(2 ** (n - 1)):
+        expected = [1.0] + [-1.0 if b >> (n - 2 - i) & 1 else 1.0
+                            for i in range(n - 1)]
+        assert rows[b].tolist() == expected
+    assert sign_vectors(1).tolist() == [[1.0]]
+
+
+def test_table_enumeration_matches_brute_force():
     rng = np.random.default_rng(42)
+    for n in (1, 2, 3, 10, 18):  # N = 18 spans several table blocks
+        r = random_hermitian(rng, n)
+        d_br, v_br = brute_force_max(r)
+        res = quad_binary_max(r)
+        assert res.exact
+        assert res.value == v_br
+        assert np.array_equal(res.delta, d_br)
     for _ in range(30):
         r = random_hermitian(rng, 10)
         d_br, v_br = brute_force_max(r)
@@ -61,6 +84,85 @@ def test_warm_start_does_not_change_answer():
     warm = quad_binary_max(r, initial=1.0 - 2.0 * rng.integers(0, 2, 12))
     assert warm.value == base.value
     assert np.array_equal(warm.delta, base.delta)
+
+
+def test_rescaled_matrix_same_answer_as_brute_force():
+    # echo-scale matrices are about 1e-16; nothing may depend on the scale
+    rng = np.random.default_rng(44)
+    r = random_hermitian(rng, 10)
+    deltas = set()
+    for k in range(-16, 7):
+        scaled = 10.0 ** k * r
+        res = quad_binary_max(scaled)
+        d_br, v_br = brute_force_max(scaled)
+        assert res.value == v_br
+        assert np.array_equal(res.delta, d_br)
+        deltas.add(tuple(res.delta))
+    assert len(deltas) == 1
+
+
+def test_rounding_ties_follow_canonical_order():
+    # R is invariant under swapping variables 1, 2 and 4, 7, so maximizers
+    # come in pairs of equal value up to rounding; the winner must be the
+    # first strict maximum of quad_form_value in canonical order
+    rng = np.random.default_rng(47)
+    perm = np.array([0, 2, 1, 3, 7, 5, 6, 4, 8, 9])
+    for _ in range(40):
+        a = random_hermitian(rng, 10)
+        r = (a + a[np.ix_(perm, perm)]) * 10.0 ** rng.integers(-16, 6)
+        best, best_value = np.ones(10), quad_form_value(r, np.ones(10))
+        for delta in sign_vectors(10):
+            value = quad_form_value(r, delta)
+            if value > best_value:
+                best, best_value = delta, value
+        res = quad_binary_max(r)
+        assert res.value == best_value
+        assert np.array_equal(res.delta, best)
+
+
+def test_warm_start_kept_among_tied_maximizers():
+    # no coupling to variable 5: every maximizer has a twin with delta_5
+    # flipped and a bitwise equal value
+    rng = np.random.default_rng(45)
+    r = random_hermitian(rng, 8)
+    r[5, :5] = r[5, 6:] = r[:5, 5] = r[6:, 5] = 0.0
+    first, value = brute_force_max(r)
+    assert first[5] == 1.0
+    later = first.copy()
+    later[5] = -1.0
+    assert quad_form_value(r, later) == value
+    assert np.array_equal(quad_binary_max(r).delta, first)
+    for warm in (later, -later):
+        res = quad_binary_max(r, initial=warm)
+        assert np.array_equal(res.delta, later)
+        assert res.value == value
+
+
+def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
+    # the inner problems num - y den of one N = 10 joint_ml fit at echo scale
+    cfg = SceneConfig(m_antennas=4, n_x=5, n_y=2, sigma2_dbm=-120.0,
+                      target_rcs_amplitude=2e-5)
+    scene = synthesize_scene(cfg, seed=12)
+    rng = np.random.default_rng(13)
+    theta = random_unit_modulus(rng, cfg.n_elements)
+    x = np.sqrt(50.0 / cfg.m_antennas) * np.ones(cfg.m_antennas, dtype=complex)
+    y = simulate_echo(scene, x, theta, snapshots=8, seed=14)
+    phi = hypothesis_design(scene.G, theta, scene.a, snapshots=8)
+    shifted = []
+    solve = bqp.quad_binary_max
+
+    def record(r, **kw):
+        shifted.append(np.array(r))
+        return solve(r, **kw)
+
+    monkeypatch.setattr(bqp, "quad_binary_max", record)
+    joint_ml(y, phi)
+    assert shifted and np.abs(shifted[0]).max() < 1e-10
+    for r in shifted:
+        d_br, v_br = brute_force_max(r)
+        res = solve(r)
+        assert res.value == v_br
+        assert np.array_equal(res.delta, d_br)
 
 
 def test_canonical_first_coordinate_positive():
@@ -86,8 +188,9 @@ def test_size_cap_refusal_and_heuristic():
 
 
 def test_non_hermitian_rejected():
-    with pytest.raises(ValueError):
-        quad_binary_max(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    for scale in (1.0, 1e-13):
+        with pytest.raises(ValueError):
+            quad_binary_max(scale * np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 # ------------------------------------------------------------ dinkelbach
@@ -148,12 +251,32 @@ def test_stationarity_identity_at_termination():
         assert lhs < 1e-7 * abs(rhs)
 
 
+def test_cancelling_shifted_matrix_accepted():
+    # numerator proportional to denominator: every sign vector has the same
+    # ratio, and num - y den is rounding residue that is Hermitian only at
+    # the scale of num and y den
+    rng = np.random.default_rng(46)
+    for n in (1, 2, 5, 8):
+        for _ in range(5):
+            b = crandn(rng, n, 2 * n)
+            xi = 1e-13 * (b @ b.conj().T)
+            res = dinkelbach_solve(RatioProblem(numerator=3.7 * xi,
+                                                denominator=xi))
+            assert res.converged and res.exact
+            assert res.ratio == pytest.approx(3.7, rel=1e-12)
+
+
 def test_ratio_problem_validation():
     with pytest.raises(ValueError):
         RatioProblem(numerator=np.array([[0.0, 1.0], [0.0, 0.0]]),
                      denominator=np.eye(2))
     with pytest.raises(ValueError):
         RatioProblem(numerator=np.diag([1.0, -2.0]), denominator=np.eye(2))
+    # the same checks hold at echo scale, relative to the matrix itself
+    for bad in ([[0.0, 1.0], [0.0, 0.0]], np.diag([1.0, -2.0])):
+        with pytest.raises(ValueError):
+            RatioProblem(numerator=np.eye(2) * 1e-13,
+                         denominator=1e-13 * np.asarray(bad))
     prob = RatioProblem(numerator=np.eye(2), denominator=np.zeros((2, 2)))
     with pytest.raises(DegenerateRatioError):
         prob.ratio(np.ones(2))

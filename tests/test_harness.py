@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from irsloc import harness
 from irsloc.harness import (ExperimentSpec, LocalizationParams,
                             OptimizerParams, PilotParams, apply_desk_scale,
                             pilot_power_for, point_key, resolve_point,
@@ -142,6 +143,37 @@ def test_localization_campaign_deterministic():
     res_b = run_localization_campaign(localization_spec())
     assert res_a.point_rows == res_b.point_rows
     assert res_a.tables["curve"] == res_b.tables["curve"]
+
+
+def _no_trials(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran before every point was checked")
+    monkeypatch.setattr(harness, "run_localization_trial", refuse)
+    monkeypatch.setattr(harness, "estimate_channel_once", refuse)
+
+
+def test_localization_point_over_exact_cap_rejected_up_front(monkeypatch):
+    # N = 25 would raise SizeCapError in the first fit of its first trial
+    _no_trials(monkeypatch)
+    spec = localization_spec(points=[{"n_y": 2}, {"n_x": 5, "n_y": 5}])
+    with pytest.raises(ValueError, match=r"'n_y': 5.*n_elements=25"):
+        run_localization_campaign(spec)
+
+
+def test_localization_point_with_two_antennas_rejected_up_front(monkeypatch):
+    _no_trials(monkeypatch)
+    spec = localization_spec(points=[{"m_antennas": 4}, {"m_antennas": 2}])
+    with pytest.raises(ValueError, match=r"'m_antennas': 2.*m_antennas >= 3"):
+        run_localization_campaign(spec)
+
+
+def test_chanest_point_with_two_antennas_rejected_up_front(monkeypatch):
+    # N = 25 is fine without a fit: only the M = 2 point is rejected
+    _no_trials(monkeypatch)
+    spec = chanest_spec(scene=noiseless_scene(n_x=5, n_y=5),
+                        sweep={"m_antennas": [4, 2]})
+    with pytest.raises(ValueError, match=r"'m_antennas': 2.*m_antennas >= 3"):
+        run_chanest_campaign(spec)
 
 
 def test_write_result_byte_identical(tmp_path):

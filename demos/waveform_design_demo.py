@@ -18,10 +18,7 @@ rng = np.random.default_rng(3)
 n_elements, n_bs, n_hyp = 10, 4, 4
 
 probs = np.array([0.4, 0.3, 0.2, 0.1])
-weights = np.zeros((n_hyp, n_hyp))
-for i in range(n_hyp):
-    for j in range(i + 1, n_hyp):
-        weights[i, j] = probs[i] * probs[j]
+weights = waveopt.pair_weights(probs)
 
 ctx = waveopt.DistanceContext(
     channels=[crandn(rng, n_elements, n_bs) for _ in range(n_hyp)],

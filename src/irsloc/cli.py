@@ -13,7 +13,8 @@ Campaign configs are JSON documents mirroring the experiment spec
 ``sweep``/``points``, ``trials``, ``master_seed``); unknown keys are
 rejected.  ``bqp-solve`` and ``waveopt-trace`` take small dedicated
 configs documented in the README.  Exit codes: 0 success, 2 usage or
-configuration error, 1 numerical failure (one JSON error line on stderr).
+configuration error (including a sweep point that a campaign rejects
+before trial 0), 1 numerical failure (one JSON error line on stderr).
 """
 
 from __future__ import annotations
@@ -170,15 +171,11 @@ def cmd_waveopt_trace(args) -> int:
                                          "n_hypotheses"))
     probs = rng.random(n_hyp)
     probs /= probs.sum()
-    weights = np.zeros((n_hyp, n_hyp))
-    for i in range(n_hyp):
-        for j in range(i + 1, n_hyp):
-            weights[i, j] = probs[i] * probs[j]
     ctx = waveopt.DistanceContext(
         channels=[crandn(rng, n, m) for _ in range(n_hyp)],
         steering=np.column_stack([random_unit_modulus(rng, n)
                                   for _ in range(n_hyp)]),
-        alphas=crandn(rng, n_hyp), weights=weights,
+        alphas=crandn(rng, n_hyp), weights=waveopt.pair_weights(probs),
         snapshots=int(cfg["snapshots"]),
         noise_power=float(cfg["noise_power"]))
     design = waveopt.optimize(
@@ -217,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, harness.PointRejected) as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}),
               file=sys.stderr)
         return 2

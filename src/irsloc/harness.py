@@ -33,6 +33,11 @@ from .util import derive_seed, random_unit_modulus
 SCHEMA_VERSION = 1
 
 
+class PointRejected(ValueError):
+    """A sweep point the campaign refuses before trial 0: a configuration
+    error, unlike the numerical failures a trial can raise."""
+
+
 @dataclass
 class PilotParams:
     """Channel-estimation stage configuration."""
@@ -151,11 +156,12 @@ def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
     for point in spec.sweep_points():
         cfg, pilot_p, loc_p = resolve_point(spec, point)
         if cfg.m_antennas < 3:
-            raise ValueError(f"sweep point {point}: channel initialization "
-                             f"needs m_antennas >= 3, got {cfg.m_antennas}")
+            raise PointRejected(f"sweep point {point}: channel initialization "
+                                f"needs m_antennas >= 3, got {cfg.m_antennas}")
         if localization and cfg.n_elements > loc_p.exact_cap:
-            raise ValueError(f"sweep point {point}: n_elements={cfg.n_elements}"
-                             f" exceeds exact_cap {loc_p.exact_cap}")
+            raise PointRejected(f"sweep point {point}: n_elements="
+                                f"{cfg.n_elements} exceeds exact_cap "
+                                f"{loc_p.exact_cap}")
         resolved.append((point, cfg, pilot_p, loc_p))
     return resolved
 

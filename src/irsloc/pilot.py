@@ -25,6 +25,7 @@ keeps the stacked design matrix full rank and well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -194,6 +195,14 @@ class ObservationSet:
                 f"design matrix is rank deficient (cond={svals[0] / max(svals[-1], 1e-300):.3g})")
         self.condition_number = float(svals[0] / svals[-1])
 
+    @cached_property
+    def omega_ls(self) -> np.ndarray:
+        """Per-subframe LS estimates (P x dim), solved once and read-only."""
+        est = np.vstack([ls_estimate(self, p)
+                         for p in range(self.schedule.n_subframes)])
+        est.flags.writeable = False
+        return est
+
     @property
     def covariance(self) -> np.ndarray:
         """LS error covariance 2 sigma^2 (Phi^H Phi)^{-1}; requires sigma2 > 0."""
@@ -256,4 +265,4 @@ def ls_estimate(obs: ObservationSet, p: int) -> np.ndarray:
 
 def ls_estimates(obs: ObservationSet) -> np.ndarray:
     """LS estimates for all subframes, stacked row-wise (P x dim)."""
-    return np.vstack([ls_estimate(obs, p) for p in range(obs.schedule.n_subframes)])
+    return obs.omega_ls

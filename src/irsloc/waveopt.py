@@ -12,6 +12,20 @@ distance into
               + |a_j|^2 tr(Q^H A_jj Q B_jj)),    s = L / sigma^2,
 
 with A_ij fixed per hypothesis pair and B_ij rank-one in the waveform x.
+
+Neither matrix is formed.  With the hypothesis factors U_i = diag(a_i) G_i
+(N x M), A_ij = U_j^* U_i^T has rank at most M and B_ij = v_j^* v_i^T with
+v_i = U_i x, so every trace is an inner product of M-vector carriers,
+
+    tr(Q^H A_ij Q B_ij) = C_ji^H C_ij,    C_ij = U_i^T Q v_j^*,
+
+and the weighted sum of all distances is sum_ij W_ij C_ji^H C_ij for one
+Hermitian I x I term-weight matrix W (I hypotheses; scale, pair priorities
+and alpha products folded in).  One evaluation costs O(I N^2 + I^2 N M),
+against O(N^4) per trace term for the dense form.  A Q-entry step moves
+the carriers by a rank-one term, so each Gauss-Seidel entry costs
+O(I^2 M); the waveform matrix comes from E_ij = U_i^T Q U_j^* (M x M).
+
 The rank-1 coupling Q = theta theta^H is enforced by a penalty
 (1/2 rho)(Re{theta^H Q theta} - N^2) whose weight grows as rho shrinks
 geometrically in an outer loop; the inner loop is block coordinate descent
@@ -43,8 +57,12 @@ class DistanceContext:
     ``channels[i]`` is the hypothesis-i signed channel diag(delta_i) G_hat
     (N x M); ``steering[:, i]`` its grid steering vector; ``alphas[i]`` its
     latest target-coefficient estimate; ``weights[i, j]`` the pair priority
-    (posterior product).  ``scale`` is snapshots / noise_power, or just
-    snapshots when noise_power = 0.
+    (posterior product), read from the strict upper triangle.  ``scale`` is
+    snapshots / noise_power, or just snapshots when noise_power = 0.
+
+    Derived: ``factors`` stacks U_i = diag(a_i) G_i (I x N x M) and
+    ``term_weights`` is the Hermitian I x I matrix W of the weighted sum
+    sum_ij W_ij tr(Q^H A_ij Q B_ij).
     """
 
     channels: list
@@ -53,15 +71,15 @@ class DistanceContext:
     weights: np.ndarray
     snapshots: int
     noise_power: float
-    coupling: list = field(repr=False, default=None)
+    factors: np.ndarray = field(init=False, repr=False)
+    term_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_hyp = len(self.channels)
         if self.steering.shape[1] != n_hyp or self.alphas.size != n_hyp:
             raise ValueError("inconsistent hypothesis count")
-        if self.coupling is None:
-            self.coupling = [[self._build_a(i, j) for j in range(n_hyp)]
-                             for i in range(n_hyp)]
+        self.factors = self.steering.T[:, :, None] * np.stack(self.channels)
+        self.term_weights = self._term_weights(self.weights)
 
     @property
     def n_hypotheses(self) -> int:
@@ -77,64 +95,73 @@ class DistanceContext:
             return self.snapshots / self.noise_power
         return float(self.snapshots)
 
-    def _build_a(self, i: int, j: int) -> np.ndarray:
-        # A_ij = (G_j^* G_i^T) hadamard (a_i a_j^H)^T
-        g_i, g_j = self.channels[i], self.channels[j]
-        a_i, a_j = self.steering[:, i], self.steering[:, j]
-        return (g_j.conj() @ g_i.T) * np.outer(a_j.conj(), a_i)
+    def _term_weights(self, weights: np.ndarray) -> np.ndarray:
+        """Term weights W of the pair priorities in ``weights``' upper triangle.
 
-    def b_matrix(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        """B_ij = (a_j^* a_i^T) hadamard (G_i x x^H G_j^H)^T (rank one)."""
-        a_i, a_j = self.steering[:, i], self.steering[:, j]
-        left = a_j.conj() * (self.channels[j] @ x).conj()
-        right = a_i * (self.channels[i] @ x)
-        return np.outer(left, right)
-
-    def term_list(self):
-        """Flat weighted trace terms: sum_k w_k tr(Q^H A_{ik,jk} Q B_{ik,jk}).
-
-        Diagonal terms are consolidated across pairs; the two conjugate
-        cross terms of each pair appear separately.  Weights fold in the
-        scale, the pair priorities, and the alpha products.
+        W_ii = s |alpha_i|^2 sum_{j != i} w_ij collects the self terms of
+        every pair hypothesis i belongs to; W_ij = -s w_ij alpha_i alpha_j^*
+        (i < j) and W_ji = W_ij^* are the two conjugate cross terms.
         """
-        n_hyp = self.n_hypotheses
-        terms = []
-        for i in range(n_hyp):
-            w = sum(self.weights[min(i, j), max(i, j)]
-                    for j in range(n_hyp) if j != i)
-            w *= abs(self.alphas[i]) ** 2 * self.scale
-            if w != 0:
-                terms.append((complex(w), i, i))
-        for i in range(n_hyp):
-            for j in range(i + 1, n_hyp):
-                w = self.weights[i, j] * self.scale
-                if w == 0:
-                    continue
-                cross = -w * self.alphas[i] * np.conj(self.alphas[j])
-                if cross != 0:
-                    terms.append((complex(cross), i, j))
-                    terms.append((complex(np.conj(cross)), j, i))
-        return terms
+        pairs = np.triu(weights, 1)
+        w = -(pairs * self.scale) * self.alphas[:, None] * self.alphas.conj()
+        w = w + w.conj().T
+        w[np.diag_indices_from(w)] = ((pairs + pairs.T).sum(axis=1)
+                                      * np.abs(self.alphas) ** 2 * self.scale)
+        return w
+
+
+def pair_weights(probs: np.ndarray) -> np.ndarray:
+    """Pair priorities p_i p_j, stored strictly upper triangular."""
+    return np.triu(np.outer(probs, probs), 1)
 
 
 def build_context(g_hat: np.ndarray, belief, grid, snapshots: int,
                   noise_power: float) -> DistanceContext:
     """Assemble the context from the belief state of the finished cycle."""
     probs = np.asarray(belief.probs, dtype=float)
-    n_hyp = probs.size
-    weights = np.zeros((n_hyp, n_hyp))
-    for i in range(n_hyp):
-        for j in range(i + 1, n_hyp):
-            weights[i, j] = probs[i] * probs[j]
-    channels = [belief.deltas[i][:, None] * g_hat for i in range(n_hyp)]
+    channels = [belief.deltas[i][:, None] * g_hat for i in range(probs.size)]
     return DistanceContext(channels=channels, steering=grid.steering,
                            alphas=np.asarray(belief.alphas, dtype=complex),
-                           weights=weights, snapshots=snapshots,
+                           weights=pair_weights(probs), snapshots=snapshots,
                            noise_power=noise_power)
 
 
-def _trace_qaqb(q: np.ndarray, a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.einsum("ba,bc,cd,da->", q.conj(), a, q, b))
+class _Carriers:
+    """The one distance evaluator: carriers C_ij = U_i^T Q v_j^*, v_j = U_j x.
+
+    For term weights W it gives the weighted trace sum
+    sum_ij W_ij C_ji^H C_ij, the Q-gradient entries
+    [sum_ij W_ij A_ij Q B_ij]_{mn} = sum_ij W_ij v_i[n] U_j[m]^H C_ij and
+    the self-quadratic coefficients chi.  Setting Q[m, n] += d moves each
+    C_ij by d U_i[m] v_j[n]^*, so a Gauss-Seidel entry step costs O(I^2 M).
+    ``c`` holds the carriers flattened over (i, j, k).
+    """
+
+    def __init__(self, ctx: DistanceContext, w: np.ndarray, q: np.ndarray,
+                 x: np.ndarray):
+        self.w = w
+        self.u = ctx.factors
+        self.v = self.u @ x
+        self.c = np.einsum("inm,jn->ijm", self.u, self.v.conj() @ q.T).ravel()
+
+    def distance(self) -> float:
+        c = self.c.reshape(self.w.shape + (-1,))
+        return float(np.real(np.einsum("ij,jim,ijm->", self.w, c.conj(), c)))
+
+    def row_terms(self, m: int):
+        """Terms of Q's row m, one row per column n: gradient entry (m, n)
+        is ``grad[n] @ c``; Q[m, n] += d moves the carriers by ``d * step[n]``."""
+        n = self.v.shape[1]
+        grad = np.einsum("ij,in,jk->nijk", self.w, self.v, self.u[:, m].conj())
+        step = np.einsum("ik,jn->nijk", self.u[:, m], self.v.conj())
+        return grad.reshape(n, -1), step.reshape(n, -1)
+
+    def chi(self) -> np.ndarray:
+        """chi[m, n] = sum_ij W_ij A_ij(m, m) B_ij(n, n): the coefficient of
+        Q[m, n] in its own gradient entry."""
+        a_diag = np.einsum("imk,jmk->ijm", self.u, self.u.conj())
+        b_diag = self.v[:, None, :] * self.v.conj()[None, :, :]
+        return np.einsum("ij,ijm,ijn->mn", self.w, a_diag, b_diag)
 
 
 def pair_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray,
@@ -142,66 +169,14 @@ def pair_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray,
     """Inter-hypothesis distance phi_ij evaluated on a lifted matrix Q."""
     if i == j:
         return 0.0
-    a_i, a_j = ctx.alphas[i], ctx.alphas[j]
-    t_ii = _trace_qaqb(q, ctx.coupling[i][i], ctx.b_matrix(i, i, x))
-    t_jj = _trace_qaqb(q, ctx.coupling[j][j], ctx.b_matrix(j, j, x))
-    t_ij = _trace_qaqb(q, ctx.coupling[i][j], ctx.b_matrix(i, j, x))
-    val = (abs(a_i) ** 2 * t_ii - 2.0 * np.real(a_i * np.conj(a_j) * t_ij)
-           + abs(a_j) ** 2 * t_jj)
-    return ctx.scale * float(np.real(val))
-
-
-class _TraceStack:
-    """Weighted trace terms with O(K N) per-entry Gauss-Seidel bookkeeping.
-
-    Maintains QB_k = Q @ B_k per term so a single Q-entry change is a
-    rank-one row update and the gradient entry [sum_k w_k A_k Q B_k]_{m,n}
-    is one contraction.
-    """
-
-    def __init__(self, ctx: DistanceContext, q: np.ndarray, x: np.ndarray):
-        self.ctx = ctx
-        n = ctx.n_elements
-        terms = ctx.term_list()
-        k = len(terms)
-        self.a_stack = np.empty((k, n, n), dtype=complex)
-        self.b_stack = np.empty((k, n, n), dtype=complex)
-        for idx, (w, i, j) in enumerate(terms):
-            self.a_stack[idx] = w * ctx.coupling[i][j]
-            self.b_stack[idx] = ctx.b_matrix(i, j, x)
-        self.terms = terms
-        self.qb_stack = np.einsum("ab,kbc->kac", q, self.b_stack) \
-            if k else np.zeros((0, n, n), dtype=complex)
-        # chi[m, n] = sum_k w_k A_k(m, m) B_k(n, n): the self-quadratic
-        # coefficient removed from the gradient when reading the linear part
-        diag_a = np.einsum("kii->ki", self.a_stack)
-        diag_b = np.einsum("kii->ki", self.b_stack)
-        self.chi = np.einsum("km,kn->mn", diag_a, diag_b)
-
-    def gradient_entry(self, m: int, n: int) -> complex:
-        if not self.terms:
-            return 0.0 + 0.0j
-        return complex(np.einsum("kc,kc->", self.a_stack[:, m, :],
-                                 self.qb_stack[:, :, n]))
-
-    def apply_entry_delta(self, m: int, n: int, delta: complex):
-        if self.terms:
-            self.qb_stack[:, m, :] += delta * self.b_stack[:, n, :]
-
-    def distance(self, q: np.ndarray) -> float:
-        if not self.terms:
-            return 0.0
-        total = np.einsum("cm,kcd,kdm->", q.conj(), self.a_stack, self.qb_stack)
-        return float(np.real(total))
+    pair = np.zeros((ctx.n_hypotheses, ctx.n_hypotheses))
+    pair[min(i, j), max(i, j)] = 1.0
+    return _Carriers(ctx, ctx._term_weights(pair), q, x).distance()
 
 
 def weighted_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray) -> float:
     """Weighted sum of pairwise distances at (Q, x)."""
-    total = 0.0
-    for w, i, j in ctx.term_list():
-        total += np.real(w * _trace_qaqb(q, ctx.coupling[i][j],
-                                         ctx.b_matrix(i, j, x)))
-    return float(total)
+    return _Carriers(ctx, ctx.term_weights, q, x).distance()
 
 
 def penalty_value(q: np.ndarray, theta: np.ndarray, rho: float) -> float:
@@ -246,38 +221,39 @@ def update_q(state: OptimizerState, ctx: DistanceContext,
     penalized objective: the weighted distance gradient minus the
     self-quadratic part, plus the penalty's theta theta^H term.
     """
-    stack = _TraceStack(ctx, state.q, state.x)
+    sweep = _Carriers(ctx, ctx.term_weights, state.q, state.x)
+    chi = sweep.chi()
     q = state.q
     theta = state.theta
     quarter_rho = 1.0 / (4.0 * state.rho)
     n = ctx.n_elements
     for m in range(n):
+        grad, step = sweep.row_terms(m)
         theta_m = theta[m]
         for col in range(n):
-            mu = stack.gradient_entry(m, col)
+            mu = grad[col] @ sweep.c
             mu += quarter_rho * theta_m * np.conj(theta[col])
-            mu -= q[m, col] * stack.chi[m, col]
+            mu -= q[m, col] * chi[m, col]
             if mu == 0:
                 continue
             new = np.exp(1j * np.angle(mu))
             delta = new - q[m, col]
             if delta != 0:
                 q[m, col] = new
-                stack.apply_entry_delta(m, col, delta)
+                sweep.c += delta * step[col]
             if on_update is not None:
                 on_update()
     return state
 
 
 def assemble_waveform_matrix(ctx: DistanceContext, q: np.ndarray) -> np.ndarray:
-    """Hermitian matrix Z with x^H Z x = weighted sum distance at fixed Q."""
-    n_bs = ctx.channels[0].shape[1]
-    z = np.zeros((n_bs, n_bs), dtype=complex)
-    for w, i, j in ctx.term_list():
-        a_ij = ctx.coupling[i][j]
-        core = (q.T @ a_ij.T @ q.conj()) * np.outer(ctx.steering[:, j].conj(),
-                                                    ctx.steering[:, i])
-        z += w * (ctx.channels[j].conj().T @ core @ ctx.channels[i])
+    """Hermitian matrix Z with x^H Z x = weighted sum distance at fixed Q.
+
+    With E_ij = U_i^T Q U_j^* (M x M), tr(Q^H A_ij Q B_ij) = x^H E_ij^T E_ji^* x.
+    """
+    u = ctx.factors
+    e = np.einsum("ink,jnl->ijkl", u, q @ u.conj())
+    z = np.einsum("ij,ijkm,jikn->mn", ctx.term_weights, e, e.conj())
     return (z + z.conj().T) / 2.0
 
 

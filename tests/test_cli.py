@@ -131,3 +131,41 @@ def test_desk_scale_flag(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["spec"]["trials"] == 8
     assert manifest["spec"]["scene"]["n_y"] == 2
+
+
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, scene", [
+    ("localize", {"n_x": 5, "n_y": 5}),     # N = 25 over exact_cap 24
+    ("localize", {"m_antennas": 2}),
+    ("chanest", {"m_antennas": 2}),
+])
+def test_point_rejected_before_trial_zero_exits_two(tmp_path, capsys,
+                                                    command, scene):
+    payload = json.loads(json.dumps(TINY_CAMPAIGN))
+    payload["scene"].update(scene)
+    cfg = write_config(tmp_path, payload)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    error = _last_error(capsys)
+    assert error["kind"] == "config"
+    assert "sweep point" in error["error"]
+
+
+def test_value_error_inside_a_trial_stays_numerical(tmp_path, capsys,
+                                                    monkeypatch):
+    from irsloc import harness
+    from irsloc.localize import DegenerateHypothesisError
+
+    def degenerate(*args, **kwargs):
+        raise DegenerateHypothesisError("hypotheses coincide")
+    monkeypatch.setattr(harness, "run_localization_trial", degenerate)
+    cfg = write_config(tmp_path, dict(TINY_CAMPAIGN))
+    code = main(["localize", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    error = _last_error(capsys)
+    assert error["kind"] == "numerical"
+    assert error["type"] == "DegenerateHypothesisError"

@@ -234,3 +234,8 @@ def test_ls_estimates_stacks_all_subframes():
     obs = simulate_pilot_round(scene, sched, seed=3)
     stacked = ls_estimates(obs)
     assert stacked.shape == (sched.n_subframes, obs.phi.shape[1])
+    for p in range(sched.n_subframes):
+        assert np.array_equal(stacked[p], ls_estimate(obs, p))
+    # solved once per round, and shared read-only by every caller
+    assert ls_estimates(obs) is stacked
+    assert not stacked.flags.writeable

@@ -86,6 +86,101 @@ def test_weighted_distance_consistent_with_pairs():
     assert weighted_distance(ctx, q, x) == pytest.approx(manual, rel=1e-9)
 
 
+# ------------------------------------- literal trace oracle on a general Q
+
+def literal_a(ctx, i, j):
+    """A_ij = (G_j^* G_i^T) hadamard (a_j^* a_i^T)."""
+    g_i, g_j = ctx.channels[i], ctx.channels[j]
+    a_i, a_j = ctx.steering[:, i], ctx.steering[:, j]
+    return (g_j.conj() @ g_i.T) * np.outer(a_j.conj(), a_i)
+
+
+def literal_b(ctx, i, j, x):
+    """B_ij = (a_j^* a_i^T) hadamard (G_i x x^H G_j^H)^T."""
+    a_i, a_j = ctx.steering[:, i], ctx.steering[:, j]
+    gx_i, gx_j = ctx.channels[i] @ x, ctx.channels[j] @ x
+    return np.outer(a_j.conj(), a_i) * np.outer(gx_i, gx_j.conj()).T
+
+
+def literal_terms(ctx, pairs):
+    """(w, i, j) of sum w tr(Q^H A_ij Q B_ij) over pairs {(i, j, priority)}."""
+    s, al = ctx.scale, ctx.alphas
+    terms = []
+    for i, j, p in pairs:
+        terms += [(s * p * abs(al[i]) ** 2, i, i), (s * p * abs(al[j]) ** 2, j, j),
+                  (-s * p * al[i] * np.conj(al[j]), i, j),
+                  (-s * p * np.conj(al[i]) * al[j], j, i)]
+    return terms
+
+
+def literal_distance(ctx, q, x, terms):
+    return float(np.real(sum(
+        w * np.trace(q.conj().T @ literal_a(ctx, i, j) @ q @ literal_b(ctx, i, j, x))
+        for w, i, j in terms)))
+
+
+def weighted_pairs(ctx):
+    n_hyp = ctx.n_hypotheses
+    return [(i, j, ctx.weights[i, j]) for i in range(n_hyp)
+            for j in range(i + 1, n_hyp)]
+
+
+def general_q(rng, n):
+    """Unit-modulus, non-Hermitian, far from any rank-one lift."""
+    return np.exp(1j * 2 * np.pi * rng.random((n, n)))
+
+
+def test_distances_match_literal_traces_on_general_q():
+    rng = np.random.default_rng(20)
+    for _ in range(5):
+        ctx = random_context(rng, n=6, m=3, n_hyp=4)
+        q, x = general_q(rng, 6), crandn(rng, 3)
+        assert np.abs(q - q.conj().T).max() > 0.1
+        want = literal_distance(ctx, q, x, literal_terms(ctx, weighted_pairs(ctx)))
+        assert weighted_distance(ctx, q, x) == pytest.approx(want, rel=1e-9)
+        for i, j in ((0, 1), (2, 1), (3, 0)):
+            want = literal_distance(ctx, q, x, literal_terms(ctx, [(i, j, 1.0)]))
+            assert pair_distance(ctx, q, x, i, j) == pytest.approx(want, rel=1e-9)
+
+
+def test_waveform_matrix_matches_literal_traces_on_general_q():
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        ctx = random_context(rng, n=5, m=4, n_hyp=3)
+        q, x = general_q(rng, 5), crandn(rng, 4)
+        z = assemble_waveform_matrix(ctx, q)
+        want = literal_distance(ctx, q, x, literal_terms(ctx, weighted_pairs(ctx)))
+        assert np.real(x.conj() @ z @ x) == pytest.approx(want, rel=1e-9)
+
+
+def test_update_q_gradient_matches_literal_traces_on_general_q():
+    from irsloc.waveopt import _Carriers
+    rng = np.random.default_rng(22)
+    ctx = random_context(rng, n=6, m=3, n_hyp=3)
+    q, x = general_q(rng, 6), crandn(rng, 3)
+    terms = literal_terms(ctx, weighted_pairs(ctx))
+    grad = sum(w * literal_a(ctx, i, j) @ q @ literal_b(ctx, i, j, x)
+               for w, i, j in terms)
+    chi = sum(w * np.outer(np.diag(literal_a(ctx, i, j)),
+                           np.diag(literal_b(ctx, i, j, x)))
+              for w, i, j in terms)
+    sweep = _Carriers(ctx, ctx.term_weights, q, x)
+    for m, n in ((0, 0), (1, 4), (5, 2)):
+        got = sweep.row_terms(m)[0][n] @ sweep.c
+        assert abs(got - grad[m, n]) <= 1e-9 * abs(grad[m, n])
+    assert np.allclose(sweep.chi(), chi, rtol=1e-9, atol=0)
+    # after an entry step the carriers track the changed Q
+    new_q = q.copy()
+    new_q[3, 1] *= np.exp(0.7j)
+    sweep.c += (new_q[3, 1] - q[3, 1]) * sweep.row_terms(3)[1][1]
+    grad = sum(w * literal_a(ctx, i, j) @ new_q @ literal_b(ctx, i, j, x)
+               for w, i, j in terms)
+    got = sweep.row_terms(2)[0][5] @ sweep.c
+    assert abs(got - grad[2, 5]) <= 1e-9 * abs(grad[2, 5])
+    assert sweep.distance() == pytest.approx(
+        literal_distance(ctx, new_q, x, terms), rel=1e-9)
+
+
 # ------------------------------------------------------------- Q updates
 
 def make_state(rng, ctx, power=4.0, rho=0.05):
@@ -128,11 +223,11 @@ def test_update_q_entry_matches_phase_grid():
                            power_budget=state.power_budget)
     # sweep only entry (m, n): emulate by running the full sweep but
     # capturing the entry's optimized value through a targeted evaluation
-    from irsloc.waveopt import _TraceStack
-    stack = _TraceStack(ctx, probe.q, probe.x)
-    mu = stack.gradient_entry(m, n)
+    from irsloc.waveopt import _Carriers
+    sweep = _Carriers(ctx, ctx.term_weights, probe.q, probe.x)
+    mu = sweep.row_terms(m)[0][n] @ sweep.c
     mu += probe.theta[m] * np.conj(probe.theta[n]) / (4 * probe.rho)
-    mu -= probe.q[m, n] * stack.chi[m, n]
+    mu -= probe.q[m, n] * sweep.chi()[m, n]
     closed = objective_with_phase(float(np.angle(mu)))
     scale = max(1.0, abs(grid_best))
     assert closed >= grid_best - 1e-9 * scale

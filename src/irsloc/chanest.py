@@ -167,23 +167,27 @@ class _MLObjective:
         self.subframes = sched.subframes
         self.g = g
 
-        # Per (subframe, coordinate) support of d omega / d g_{n,a}:
-        # flat indices into omega and the channel columns of the cofactors.
-        block = self.m_t * self.n_rx
-        self.support = []
-        for a_set, b_set in self.subframes:
-            per_col = []
-            for a in range(self.m):
+        # Support of d omega / d g_{n,a} over all subframes, per channel
+        # column a: the (subframe, in-block offset, cofactor column) triples,
+        # concatenated in subframe order.  Every column has the same count K
+        # of triples; ``mask`` keeps the curvature block-diagonal by subframe.
+        self.block = self.m_t * self.n_rx
+        tables = []
+        for a in range(self.m):
+            sub, off, cof = [], [], []
+            for p, (a_set, b_set) in enumerate(self.subframes):
                 if a in a_set:
-                    i_a = a_set.index(a)
-                    offs = i_a * self.n_rx + np.arange(self.n_rx)
-                    cof_cols = np.asarray(b_set)
+                    offs = a_set.index(a) * self.n_rx + np.arange(self.n_rx)
+                    cols = b_set
                 else:
-                    j_a = b_set.index(a)
-                    offs = np.arange(self.m_t) * self.n_rx + j_a
-                    cof_cols = np.asarray(a_set)
-                per_col.append((offs, cof_cols))
-            self.support.append((per_col, block))
+                    offs = np.arange(self.m_t) * self.n_rx + b_set.index(a)
+                    cols = a_set
+                sub.extend([p] * len(cols))
+                off.extend(offs)
+                cof.extend(cols)
+            tables.append((sub, off, cof))
+        self.sub, self.off, self.cof = (np.array(t) for t in zip(*tables))
+        self.mask = self.sub[:, :, None] == self.sub[:, None, :]
 
         self.residuals = np.empty_like(self.omega_hat)
         self.refresh_residuals()
@@ -205,26 +209,27 @@ class _MLObjective:
             total += float(np.real(e.conj() @ (self.weight @ e)))
         return self.scale * total
 
+    def step_terms(self, row: int, col: int):
+        """Numerator and curvature of the exact step on g[row, col], with
+        the (subframe, flat omega index, cofactor) support it acts on."""
+        sub = self.sub[col]
+        idx = row * self.block + self.off[col]
+        cof = self.g[row, self.cof[col]]
+        w_rows = self.weight.take(idx, axis=0)
+        rowdot = (w_rows * self.residuals.take(sub, axis=0)).sum(axis=1)
+        num = cof.conj() @ rowdot
+        den = float(np.real(cof.conj() @ ((w_rows[:, idx] * self.mask[col]) @ cof)))
+        return num, den, sub, idx, cof
+
     def update_entry(self, row: int, col: int) -> bool:
         """Exact minimization of the objective over g[row, col]; returns
         False when the coordinate is degenerate (zero curvature)."""
-        num = 0.0 + 0.0j
-        den = 0.0
-        cached = []
-        for p, (per_col, block) in enumerate(self.support):
-            offs, cof_cols = per_col[col]
-            idx = row * block + offs
-            cof = self.g[row, cof_cols]
-            w_rows = self.weight[idx]
-            num += cof.conj() @ (w_rows @ self.residuals[p])
-            den += float(np.real(cof.conj() @ (w_rows[:, idx] @ cof)))
-            cached.append((idx, cof))
+        num, den, sub, idx, cof = self.step_terms(row, col)
         if den <= 0.0:
             return False
         step = num / den
         self.g[row, col] += step
-        for p, (idx, cof) in enumerate(cached):
-            self.residuals[p][idx] -= step * cof
+        self.residuals[sub, idx] -= step * cof
         return True
 
 

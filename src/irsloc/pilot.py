@@ -197,9 +197,12 @@ class ObservationSet:
 
     @cached_property
     def omega_ls(self) -> np.ndarray:
-        """Per-subframe LS estimates (P x dim), solved once and read-only."""
-        est = np.vstack([ls_estimate(self, p)
-                         for p in range(self.schedule.n_subframes)])
+        """Per-subframe LS estimates (P x dim): one solve of the shared
+        design matrix against every subframe's observation, read-only."""
+        sol, _, rank, _ = np.linalg.lstsq(self.phi, self.ytilde.T, rcond=None)
+        if rank < self.phi.shape[1]:
+            raise IdentifiabilityError("design matrix became rank deficient")
+        est = np.ascontiguousarray(sol.T)
         est.flags.writeable = False
         return est
 
@@ -232,23 +235,22 @@ def simulate_pilot_round(scene: Scene, schedule: PilotSchedule,
     sigma2 = cfg.noise_power
     n_rx, c = schedule.n_rx, schedule.n_diffs
 
+    # IRS states of both slots of every difference (C x 2 x N)
+    thetas = np.stack([schedule.irs_base,
+                       schedule.irs_base + schedule.delta_theta], axis=1)
     ytilde = np.empty((schedule.n_subframes, c * n_rx), dtype=complex)
     for p, (a_set, b_set) in enumerate(schedule.subframes):
-        g_a = scene.G[:, list(a_set)]
-        g_bt = scene.G[:, list(b_set)].T
+        gax = schedule.pilots @ scene.G[:, list(a_set)].T
+        g_b = scene.G[:, list(b_set)]
         h_static = (np.sqrt(cfg.si_power) * crandn(rng, n_rx, schedule.m_t)
                     + np.sqrt(cfg.ref_power) * crandn(rng, n_rx, schedule.m_t))
-        for l in range(c):
-            x = schedule.pilots[l]
-            gax = g_a @ x
-            base = schedule.irs_base[l]
-            y_pair = []
-            for theta in (base, base + schedule.delta_theta[l]):
-                y = g_bt @ (theta * gax) + h_static @ x
-                if sigma2 > 0:
-                    y = y + np.sqrt(sigma2) * crandn(rng, n_rx)
-                y_pair.append(y)
-            ytilde[p, l * n_rx:(l + 1) * n_rx] = y_pair[1] - y_pair[0]
+        y = ((thetas * gax[:, None, :]) @ g_b
+             + (schedule.pilots @ h_static.T)[:, None, :])
+        if sigma2 > 0:
+            # the draws of crandn(rng, n_rx) per (difference, slot), in order
+            z = rng.standard_normal((c, 2, 2, n_rx))
+            y = y + np.sqrt(sigma2) * ((z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0))
+        ytilde[p] = (y[:, 1] - y[:, 0]).reshape(-1)
 
     phi = build_design_matrix(schedule)
     return ObservationSet(schedule=schedule, ytilde=ytilde, phi=phi,
@@ -257,10 +259,7 @@ def simulate_pilot_round(scene: Scene, schedule: PilotSchedule,
 
 def ls_estimate(obs: ObservationSet, p: int) -> np.ndarray:
     """Least-squares estimate of omega(p) from subframe p's observation."""
-    sol, _, rank, _ = np.linalg.lstsq(obs.phi, obs.ytilde[p], rcond=None)
-    if rank < obs.phi.shape[1]:
-        raise IdentifiabilityError("design matrix became rank deficient")
-    return sol
+    return obs.omega_ls[p]
 
 
 def ls_estimates(obs: ObservationSet) -> np.ndarray:

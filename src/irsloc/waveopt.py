@@ -181,7 +181,7 @@ def weighted_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray) -> flo
 
 def penalty_value(q: np.ndarray, theta: np.ndarray, rho: float) -> float:
     n = theta.size
-    return (np.real(theta.conj() @ q @ theta) - n * n) / (2.0 * rho)
+    return float((np.real(theta.conj() @ q @ theta) - n * n) / (2.0 * rho))
 
 
 def constraint_violation(q: np.ndarray, theta: np.ndarray) -> float:

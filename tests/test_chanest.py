@@ -221,6 +221,58 @@ def test_refine_objective_scale_uses_covariance():
     assert state.value() == pytest.approx(expected, rel=1e-9)
 
 
+def loop_step(state, row, col):
+    """Literal per-subframe coordinate step on g[row, col]: returns its
+    numerator, curvature, step and the updated residuals (state untouched)."""
+    block = state.m_t * state.n_rx
+    num, den, support = 0.0 + 0.0j, 0.0, []
+    for p, (a_set, b_set) in enumerate(state.subframes):
+        if col in a_set:
+            offs = a_set.index(col) * state.n_rx + np.arange(state.n_rx)
+            cof_cols = np.asarray(b_set)
+        else:
+            offs = np.arange(state.m_t) * state.n_rx + b_set.index(col)
+            cof_cols = np.asarray(a_set)
+        idx = row * block + offs
+        cof = state.g[row, cof_cols]
+        w_rows = state.weight[idx]
+        num += cof.conj() @ (w_rows @ state.residuals[p])
+        den += float(np.real(cof.conj() @ (w_rows[:, idx] @ cof)))
+        support.append((idx, cof))
+    step = num / den
+    residuals = state.residuals.copy()
+    for p, (idx, cof) in enumerate(support):
+        residuals[p][idx] -= step * cof
+    return num, den, step, residuals
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", [(4, 1, None), (5, 2, None),
+                                           (5, 2, 13), (4, 3, 20)])
+def test_batched_step_matches_per_subframe_loop(m, m_t, n_diffs):
+    # n_diffs = 13 with M_t = 2 leaves the last pattern half used, so the
+    # Gram matrix is not a Kronecker product of pattern and pilot parts
+    cfg = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-120.0)
+    scene = synthesize_scene(cfg, seed=6)
+    sched = build_schedule(m, m_t, cfg.n_elements, n_diffs=n_diffs,
+                           pilot_power=pilot_power_for_snr(cfg, 10.0))
+    obs = simulate_pilot_round(scene, sched, seed=4)
+    rng = np.random.default_rng(5)
+    g0 = scene.G + 0.3 * np.abs(scene.G).mean() * (
+        rng.standard_normal(scene.G.shape) + 1j * rng.standard_normal(scene.G.shape))
+    state = _MLObjective(obs, g0.copy())
+    for row in range(cfg.n_elements):
+        for col in range(m):
+            num, den, step, residuals = loop_step(state, row, col)
+            b_num, b_den = state.step_terms(row, col)[:2]
+            before = state.g[row, col]
+            assert state.update_entry(row, col)
+            assert abs(b_num - num) <= 1e-12 * abs(num)
+            assert abs(b_den - den) <= 1e-12 * abs(den)
+            assert abs((state.g[row, col] - before) - step) <= 1e-12 * abs(step)
+            scale = np.abs(residuals).max()
+            assert np.abs(state.residuals - residuals).max() <= 1e-12 * scale
+
+
 # ------------------------------------------------------------------ metric
 
 def test_normalized_error_sign_invariance():

@@ -114,6 +114,12 @@ def test_waveopt_trace_outputs(tmp_path):
     lines = (out / "waveopt_trace.csv").read_text().splitlines()
     assert lines[0].split(",") == ["outer_iteration", "rho", "violation",
                                    "objective", "weighted_distance"]
+    data = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert data
+    for row in data:
+        assert len(row) == 5
+        for cell in row:
+            float(cell)  # plain numbers, not numpy reprs
     summary = json.loads((out / "manifest.json").read_text())
     assert summary["converged"] is True
     assert summary["violation"] < 1e-7

@@ -10,7 +10,7 @@ from irsloc.pilot import (IdentifiabilityError, ObservationSet, PilotSchedule,
                           ls_estimates, schedule_efficiency,
                           simulate_pilot_round, true_omega)
 from irsloc.scene import SceneConfig, synthesize_scene
-from irsloc.util import khatri_rao, vec
+from irsloc.util import as_rng, crandn, khatri_rao, vec
 
 
 def noiseless_config(**kw):
@@ -141,6 +141,53 @@ def loop_oracle_ytilde(scene, sched, p):
     return out
 
 
+def loop_oracle_round(scene, sched, seed):
+    """Difference-by-difference pilot round with the draw order of the
+    model: per subframe the statics, then per (difference, slot) the noise."""
+    rng = as_rng(seed)
+    cfg = scene.config
+    n_rx = sched.n_rx
+    out = np.empty((sched.n_subframes, sched.n_diffs * n_rx), dtype=complex)
+    for p, (a_set, b_set) in enumerate(sched.subframes):
+        g_a = scene.G[:, list(a_set)]
+        g_bt = scene.G[:, list(b_set)].T
+        h_static = (np.sqrt(cfg.si_power) * crandn(rng, n_rx, sched.m_t)
+                    + np.sqrt(cfg.ref_power) * crandn(rng, n_rx, sched.m_t))
+        for l in range(sched.n_diffs):
+            x = sched.pilots[l]
+            base = sched.irs_base[l]
+            y_pair = []
+            for theta in (base, base + sched.delta_theta[l]):
+                y = g_bt @ (theta * (g_a @ x)) + h_static @ x
+                if cfg.noise_power > 0:
+                    y = y + np.sqrt(cfg.noise_power) * crandn(rng, n_rx)
+                y_pair.append(y)
+            out[p, l * n_rx:(l + 1) * n_rx] = y_pair[1] - y_pair[0]
+    return out
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", [(4, 1, None), (5, 2, None),
+                                           (4, 2, 13)])
+def test_pilot_round_matches_loop_oracle(m, m_t, n_diffs):
+    cfg = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-90.0,
+                      sigma2_si_db=-10.0, sigma2_ref_db=-10.0)
+    scene = synthesize_scene(cfg, seed=8)
+    sched = build_schedule(m, m_t, cfg.n_elements, n_diffs=n_diffs,
+                           pilot_power=1e-3)
+    oracle = loop_oracle_round(scene, sched, seed=12)
+    obs = simulate_pilot_round(scene, sched, seed=12)
+    assert np.abs(obs.ytilde - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    # with no signal and no statics the observation is the differenced
+    # noise alone, which must be drawn bit for bit as by the loop
+    scene.G = np.zeros_like(scene.G)
+    quiet = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-90.0,
+                        sigma2_si_db=-np.inf, sigma2_ref_db=-np.inf)
+    scene.config = quiet
+    noise = loop_oracle_round(scene, sched, seed=12)
+    assert np.any(noise != 0)
+    assert np.array_equal(simulate_pilot_round(scene, sched, seed=12).ytilde, noise)
+
+
 @pytest.mark.parametrize("m,m_t,n", [(4, 1, 5), (4, 2, 4), (5, 2, 3)])
 def test_noiseless_observation_matches_loop_oracle(m, m_t, n):
     cfg = noiseless_config(m_antennas=m, n_x=n, n_y=1)
@@ -239,3 +286,27 @@ def test_ls_estimates_stacks_all_subframes():
     # solved once per round, and shared read-only by every caller
     assert ls_estimates(obs) is stacked
     assert not stacked.flags.writeable
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", [(4, 1, None), (5, 2, 13)])
+def test_omega_ls_matches_per_subframe_lstsq(m, m_t, n_diffs):
+    cfg = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-90.0)
+    scene = synthesize_scene(cfg, seed=15)
+    sched = build_schedule(m, m_t, cfg.n_elements, n_diffs=n_diffs,
+                           pilot_power=1e-3)
+    obs = simulate_pilot_round(scene, sched, seed=16)
+    for p in range(sched.n_subframes):
+        single = np.linalg.lstsq(obs.phi, obs.ytilde[p], rcond=None)[0]
+        err = np.abs(obs.omega_ls[p] - single).max()
+        assert err <= 1e-12 * np.abs(single).max()
+
+
+def test_omega_ls_rank_check():
+    sched = build_schedule(3, 1, 2)
+    phi = build_design_matrix(sched)
+    obs = ObservationSet(schedule=sched, ytilde=np.ones((3, phi.shape[0])),
+                         phi=phi, sigma2=0.0)
+    # rank deficiency that the construction-time check cannot see
+    obs.phi = np.zeros_like(phi)
+    with pytest.raises(IdentifiabilityError):
+        ls_estimates(obs)

@@ -25,7 +25,6 @@ keeps the stacked design matrix full rank and well conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -178,6 +177,11 @@ class ObservationSet:
     its Gram matrix Phi^H Phi (the ML weight up to the 1/(2 sigma^2)
     scale).  With sigma2 > 0 the LS estimate covariance is
     2 sigma^2 gram^{-1}.
+
+    ``omega_ls`` holds the per-subframe LS estimates (P x dim), read-only:
+    one solve of the shared design matrix against every subframe's
+    observation at construction, whose singular values also give the rank
+    check and ``condition_number``.
     """
 
     schedule: PilotSchedule
@@ -185,37 +189,31 @@ class ObservationSet:
     phi: np.ndarray
     sigma2: float
     gram: np.ndarray = field(repr=False, default=None)
+    omega_ls: np.ndarray = field(init=False, repr=False)
+    condition_number: float = field(init=False)
 
     def __post_init__(self):
         if self.gram is None:
             self.gram = self.phi.conj().T @ self.phi
-        svals = np.linalg.svd(self.phi, compute_uv=False)
+        sol, _, _, svals = np.linalg.lstsq(self.phi, self.ytilde.T, rcond=None)
         if svals[-1] <= svals[0] * 1e-10:
             raise IdentifiabilityError(
                 f"design matrix is rank deficient (cond={svals[0] / max(svals[-1], 1e-300):.3g})")
         self.condition_number = float(svals[0] / svals[-1])
-
-    @cached_property
-    def omega_ls(self) -> np.ndarray:
-        """Per-subframe LS estimates (P x dim): one solve of the shared
-        design matrix against every subframe's observation, read-only."""
-        sol, _, rank, _ = np.linalg.lstsq(self.phi, self.ytilde.T, rcond=None)
-        if rank < self.phi.shape[1]:
-            raise IdentifiabilityError("design matrix became rank deficient")
-        est = np.ascontiguousarray(sol.T)
-        est.flags.writeable = False
-        return est
+        self.omega_ls = np.ascontiguousarray(sol.T)
+        self.omega_ls.flags.writeable = False
 
     @property
     def covariance(self) -> np.ndarray:
         """LS error covariance 2 sigma^2 (Phi^H Phi)^{-1}; requires sigma2 > 0."""
-        return ls_covariance(self.phi, self.sigma2)
+        return ls_covariance(self.gram, self.sigma2)
 
 
-def ls_covariance(phi: np.ndarray, sigma2: float) -> np.ndarray:
+def ls_covariance(gram: np.ndarray, sigma2: float) -> np.ndarray:
+    """LS error covariance 2 sigma^2 gram^{-1} of a design with Gram matrix
+    ``gram`` = Phi^H Phi."""
     if sigma2 <= 0:
         raise ValueError("covariance defined only for sigma2 > 0")
-    gram = phi.conj().T @ phi
     return 2.0 * sigma2 * np.linalg.inv(gram)
 
 

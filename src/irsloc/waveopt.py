@@ -22,9 +22,15 @@ v_i = U_i x, so every trace is an inner product of M-vector carriers,
 and the weighted sum of all distances is sum_ij W_ij C_ji^H C_ij for one
 Hermitian I x I term-weight matrix W (I hypotheses; scale, pair priorities
 and alpha products folded in).  One evaluation costs O(I N^2 + I^2 N M),
-against O(N^4) per trace term for the dense form.  A Q-entry step moves
-the carriers by a rank-one term, so each Gauss-Seidel entry costs
-O(I^2 M); the waveform matrix comes from E_ij = U_i^T Q U_j^* (M x M).
+against O(N^4) per trace term for the dense form.  The waveform matrix
+comes from E_ij = U_i^T Q U_j^* (M x M).
+
+The Q sweep goes row by row.  Within row m the entries couple only through
+the N x N matrix H_m = V^T (W o A_m) V^* (V stacks the v_i as rows,
+A_m[i, j] = U_i[m] . U_j[m]^*), whose diagonal is the self-quadratic
+coefficient chi of each entry.  So a row costs one contraction for its
+starting gradient, O(N) plain-complex work per entry against the couplings
+of the entries already updated, and one rank-one carrier update at its end.
 
 The rank-1 coupling Q = theta theta^H is enforced by a penalty
 (1/2 rho)(Re{theta^H Q theta} - N^2) whose weight grows as rho shrinks
@@ -45,7 +51,9 @@ unaffected by the positive rescaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass, field, replace
+from operator import mul
 
 import numpy as np
 
@@ -60,9 +68,15 @@ class DistanceContext:
     (posterior product), read from the strict upper triangle.  ``scale`` is
     snapshots / noise_power, or just snapshots when noise_power = 0.
 
-    Derived: ``factors`` stacks U_i = diag(a_i) G_i (I x N x M) and
+    Derived: ``factors`` stacks U_i = diag(a_i) G_i (I x N x M);
     ``term_weights`` is the Hermitian I x I matrix W of the weighted sum
-    sum_ij W_ij tr(Q^H A_ij Q B_ij).
+    sum_ij W_ij tr(Q^H A_ij Q B_ij) (self terms W_ii = s |alpha_i|^2
+    sum_{j != i} w_ij of every pair hypothesis i belongs to, cross terms
+    W_ij = -s w_ij alpha_i alpha_j^* for i < j and W_ji = W_ij^*).  Per IRS
+    row m, ``row_coupling[m]`` is W o A_m with A_m[i, j] = U_i[m] . U_j[m]^*
+    (N x I x I) and ``gradient_weights[m, i]`` holds W_ij U_j[m]^* flattened
+    over (j, k) (N x I x 1 x I M): the weights of Q's in-row coupling and of
+    its gradient entries.
     """
 
     channels: list
@@ -73,13 +87,25 @@ class DistanceContext:
     noise_power: float
     factors: np.ndarray = field(init=False, repr=False)
     term_weights: np.ndarray = field(init=False, repr=False)
+    row_coupling: np.ndarray = field(init=False, repr=False)
+    gradient_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_hyp = len(self.channels)
         if self.steering.shape[1] != n_hyp or self.alphas.size != n_hyp:
             raise ValueError("inconsistent hypothesis count")
-        self.factors = self.steering.T[:, :, None] * np.stack(self.channels)
-        self.term_weights = self._term_weights(self.weights)
+        u = self.steering.T[:, :, None] * np.stack(self.channels)
+        pairs = np.triu(self.weights, 1)
+        w = -(pairs * self.scale) * self.alphas[:, None] * self.alphas.conj()
+        w = w + w.conj().T
+        w[np.diag_indices_from(w)] = ((pairs + pairs.T).sum(axis=1)
+                                      * np.abs(self.alphas) ** 2 * self.scale)
+        self.factors = u
+        self.term_weights = w
+        self.row_coupling = w * np.einsum("imk,jmk->mij", u, u.conj())
+        u_rows = u.conj().transpose(1, 0, 2)  # (N, I, M): U_j[m]^*
+        self.gradient_weights = (w[None, :, :, None] * u_rows[:, None]).reshape(
+            self.n_elements, n_hyp, 1, -1)
 
     @property
     def n_hypotheses(self) -> int:
@@ -94,20 +120,6 @@ class DistanceContext:
         if self.noise_power > 0:
             return self.snapshots / self.noise_power
         return float(self.snapshots)
-
-    def _term_weights(self, weights: np.ndarray) -> np.ndarray:
-        """Term weights W of the pair priorities in ``weights``' upper triangle.
-
-        W_ii = s |alpha_i|^2 sum_{j != i} w_ij collects the self terms of
-        every pair hypothesis i belongs to; W_ij = -s w_ij alpha_i alpha_j^*
-        (i < j) and W_ji = W_ij^* are the two conjugate cross terms.
-        """
-        pairs = np.triu(weights, 1)
-        w = -(pairs * self.scale) * self.alphas[:, None] * self.alphas.conj()
-        w = w + w.conj().T
-        w[np.diag_indices_from(w)] = ((pairs + pairs.T).sum(axis=1)
-                                      * np.abs(self.alphas) ** 2 * self.scale)
-        return w
 
 
 def pair_weights(probs: np.ndarray) -> np.ndarray:
@@ -129,39 +141,38 @@ def build_context(g_hat: np.ndarray, belief, grid, snapshots: int,
 class _Carriers:
     """The one distance evaluator: carriers C_ij = U_i^T Q v_j^*, v_j = U_j x.
 
-    For term weights W it gives the weighted trace sum
-    sum_ij W_ij C_ji^H C_ij, the Q-gradient entries
-    [sum_ij W_ij A_ij Q B_ij]_{mn} = sum_ij W_ij v_i[n] U_j[m]^H C_ij and
-    the self-quadratic coefficients chi.  Setting Q[m, n] += d moves each
-    C_ij by d U_i[m] v_j[n]^*, so a Gauss-Seidel entry step costs O(I^2 M).
-    ``c`` holds the carriers flattened over (i, j, k).
+    With the context's term weights W it gives the weighted trace sum
+    sum_ij W_ij C_ji^H C_ij, the Q-gradient entries of row m,
+    [sum_ij W_ij A_ij Q B_ij]_{mn} = sum_ij W_ij v_i[n] U_j[m]^H C_ij, and
+    the in-row couplings H_m.  Setting Q[m, n] += d moves each C_ij by
+    d U_i[m] v_j[n]^*.  ``c`` holds the carriers as an I x I x M array.
     """
 
-    def __init__(self, ctx: DistanceContext, w: np.ndarray, q: np.ndarray,
-                 x: np.ndarray):
-        self.w = w
-        self.u = ctx.factors
-        self.v = self.u @ x
-        self.c = np.einsum("inm,jn->ijm", self.u, self.v.conj() @ q.T).ravel()
+    def __init__(self, ctx: DistanceContext, q: np.ndarray, x: np.ndarray):
+        self.ctx = ctx
+        self.v = ctx.factors @ x
+        self.c = np.einsum("inm,jn->ijm", ctx.factors, self.v.conj() @ q.T)
 
     def distance(self) -> float:
-        c = self.c.reshape(self.w.shape + (-1,))
-        return float(np.real(np.einsum("ij,jim,ijm->", self.w, c.conj(), c)))
+        return float(np.real(np.einsum("ij,jim,ijm->", self.ctx.term_weights,
+                                       self.c.conj(), self.c)))
 
-    def row_terms(self, m: int):
-        """Terms of Q's row m, one row per column n: gradient entry (m, n)
-        is ``grad[n] @ c``; Q[m, n] += d moves the carriers by ``d * step[n]``."""
-        n = self.v.shape[1]
-        grad = np.einsum("ij,in,jk->nijk", self.w, self.v, self.u[:, m].conj())
-        step = np.einsum("ik,jn->nijk", self.u[:, m], self.v.conj())
-        return grad.reshape(n, -1), step.reshape(n, -1)
+    def coupling(self) -> np.ndarray:
+        """H[m] = V^T (W o A_m) V^* (N x N x N): H[m][n, n'] is the change of
+        gradient entry (m, n) per unit step of Q[m, n']; its diagonal is
+        chi[m, n] = sum_ij W_ij A_ij(m, m) B_ij(n, n)."""
+        return self.v.T @ self.ctx.row_coupling @ self.v.conj()
 
-    def chi(self) -> np.ndarray:
-        """chi[m, n] = sum_ij W_ij A_ij(m, m) B_ij(n, n): the coefficient of
-        Q[m, n] in its own gradient entry."""
-        a_diag = np.einsum("imk,jmk->ijm", self.u, self.u.conj())
-        b_diag = self.v[:, None, :] * self.v.conj()[None, :, :]
-        return np.einsum("ij,ijm,ijn->mn", self.w, a_diag, b_diag)
+    def row_gradient(self, m: int) -> np.ndarray:
+        """Gradient entries (m, n) for every column n at the current Q."""
+        n_hyp = self.v.shape[0]
+        t = self.ctx.gradient_weights[m] @ self.c.reshape(n_hyp, -1, 1)
+        return t.ravel() @ self.v
+
+    def step_row(self, m: int, d) -> None:
+        """Track Q[m, :] += d: C_ij += U_i[m] (v_j^H d)."""
+        self.c += self.ctx.factors[:, m, None, :] \
+            * (self.v.conj() @ np.asarray(d))[None, :, None]
 
 
 def pair_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray,
@@ -171,12 +182,12 @@ def pair_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray,
         return 0.0
     pair = np.zeros((ctx.n_hypotheses, ctx.n_hypotheses))
     pair[min(i, j), max(i, j)] = 1.0
-    return _Carriers(ctx, ctx._term_weights(pair), q, x).distance()
+    return _Carriers(replace(ctx, weights=pair), q, x).distance()
 
 
 def weighted_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray) -> float:
     """Weighted sum of pairwise distances at (Q, x)."""
-    return _Carriers(ctx, ctx.term_weights, q, x).distance()
+    return _Carriers(ctx, q, x).distance()
 
 
 def penalty_value(q: np.ndarray, theta: np.ndarray, rho: float) -> float:
@@ -219,30 +230,36 @@ def update_q(state: OptimizerState, ctx: DistanceContext,
 
     Each entry is set to the phase of its linear coefficient in the
     penalized objective: the weighted distance gradient minus the
-    self-quadratic part, plus the penalty's theta theta^H term.
+    self-quadratic part, plus the penalty's theta theta^H term.  Row by
+    row, that coefficient is the row's starting value ``base`` plus the
+    in-row couplings of the steps already taken in the row; the scalar
+    steps run on plain Python complex numbers, and the carriers take the
+    row's steps at its end.
     """
-    sweep = _Carriers(ctx, ctx.term_weights, state.q, state.x)
-    chi = sweep.chi()
+    sweep = _Carriers(ctx, state.q, state.x)
+    coupling = sweep.coupling()
     q = state.q
     theta = state.theta
-    quarter_rho = 1.0 / (4.0 * state.rho)
-    n = ctx.n_elements
-    for m in range(n):
-        grad, step = sweep.row_terms(m)
-        theta_m = theta[m]
-        for col in range(n):
-            mu = grad[col] @ sweep.c
-            mu += quarter_rho * theta_m * np.conj(theta[col])
-            mu -= q[m, col] * chi[m, col]
+    # Only row m's own steps change row m, so its starting entries, their
+    # self-quadratic parts and the penalty terms are known at sweep start.
+    static = (np.outer(theta, theta.conj() / (4.0 * state.rho))
+              - q * np.diagonal(coupling, axis1=1, axis2=2))
+    for m, (h_rows, old) in enumerate(zip(coupling.tolist(), q.tolist())):
+        base = (sweep.row_gradient(m) + static[m]).tolist()
+        steps = []
+        for col, h_row in enumerate(h_rows):
+            mu = base[col] + sum(map(mul, steps, h_row))
             if mu == 0:
+                steps.append(0j)
                 continue
-            new = np.exp(1j * np.angle(mu))
-            delta = new - q[m, col]
+            new = cmath.exp(1j * cmath.phase(mu))
+            delta = new - old[col]
             if delta != 0:
                 q[m, col] = new
-                sweep.c += delta * step[col]
+            steps.append(delta)
             if on_update is not None:
                 on_update()
+        sweep.step_row(m, steps)
     return state
 
 
@@ -288,13 +305,14 @@ def update_x(state: OptimizerState, ctx: DistanceContext) -> OptimizerState:
 
 def update_theta(state: OptimizerState, on_update=None) -> OptimizerState:
     """One sweep of phase projections of theta against (Q + Q^H) / 2."""
-    p = (state.q + state.q.conj().T) / 2.0
+    p = ((state.q + state.q.conj().T) / 2.0).tolist()
     theta = state.theta
-    for m in range(theta.size):
-        v = p[m, :] @ theta - p[m, m] * theta[m]
+    current = theta.tolist()
+    for m, row in enumerate(p):
+        v = sum(map(mul, row, current)) - row[m] * current[m]
         if v == 0:
             continue
-        theta[m] = np.exp(1j * np.angle(v))
+        current[m] = theta[m] = cmath.exp(1j * cmath.phase(v))
         if on_update is not None:
             on_update()
     return state
@@ -371,7 +389,7 @@ def optimize(ctx: DistanceContext, x_init: np.ndarray, theta_init: np.ndarray,
                 report()
                 update_theta(state, on_update=report)
             cur = state.objective(ctx)
-            if cur - prev <= inner_tol * max(1.0, abs(prev)):
+            if cur - prev <= inner_tol * abs(prev):
                 prev = cur
                 break
             prev = cur

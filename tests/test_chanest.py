@@ -216,7 +216,8 @@ def test_refine_objective_scale_uses_covariance():
     g0 = initialize(pairwise_products(obs))
     state = _MLObjective(obs, g0.copy())
     # J = sum_p e^H R^{-1} e with R = 2 sigma^2 (Phi^H Phi)^{-1}
-    r_inv = np.linalg.inv(ls_covariance(obs.phi, obs.sigma2))
+    gram = obs.phi.conj().T @ obs.phi
+    r_inv = np.linalg.inv(ls_covariance(gram, obs.sigma2))
     expected = sum(float(np.real(e.conj() @ r_inv @ e)) for e in state.residuals)
     assert state.value() == pytest.approx(expected, rel=1e-9)
 

@@ -125,6 +125,19 @@ def test_waveopt_trace_outputs(tmp_path):
     assert summary["violation"] < 1e-7
 
 
+def test_waveopt_trace_default_config_stage_count(tmp_path):
+    # one row per penalty stage; 37 stages on the default config, as before
+    # the Q sweep was blocked by rows
+    cfg = write_config(tmp_path, {})
+    out = tmp_path / "out"
+    assert main(["waveopt-trace", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "waveopt_trace.csv").read_text().splitlines()
+    data = [line for line in lines[1:] if not line.startswith("#")]
+    assert [int(row.split(",")[0]) for row in data] == list(range(1, 38))
+    summary = json.loads((out / "manifest.json").read_text())
+    assert summary["outer_iterations"] == 37 and summary["converged"] is True
+
+
 def test_desk_scale_flag(tmp_path):
     payload = json.loads(json.dumps(TINY_CAMPAIGN))
     payload["scene"]["n_y"] = 4

@@ -256,7 +256,7 @@ def test_empirical_covariance_matches_model():
     sched = build_schedule(2, 1, 2, pilot_power=4.0)
     obs0 = simulate_pilot_round(scene, sched, seed=0)
     sigma2 = cfg.noise_power
-    expected = ls_covariance(obs0.phi, sigma2)
+    expected = ls_covariance(obs0.phi.conj().T @ obs0.phi, sigma2)
     omega = true_omega(scene, sched, 0)
 
     rng_seeds = range(10_000)
@@ -304,9 +304,17 @@ def test_omega_ls_matches_per_subframe_lstsq(m, m_t, n_diffs):
 def test_omega_ls_rank_check():
     sched = build_schedule(3, 1, 2)
     phi = build_design_matrix(sched)
-    obs = ObservationSet(schedule=sched, ytilde=np.ones((3, phi.shape[0])),
-                         phi=phi, sigma2=0.0)
-    # rank deficiency that the construction-time check cannot see
-    obs.phi = np.zeros_like(phi)
+    ytilde = np.ones((3, phi.shape[0]))
+    obs = ObservationSet(schedule=sched, ytilde=ytilde, phi=phi, sigma2=0.0)
+    # one solve at construction gives the estimates and the rank check
+    assert np.array_equal(ls_estimates(obs),
+                          np.linalg.lstsq(phi, ytilde.T, rcond=None)[0].T)
+    u, svals, vh = np.linalg.svd(phi, full_matrices=False)
+    assert obs.condition_number == pytest.approx(svals[0] / svals[-1], rel=1e-9)
+    # full rank to lstsq, but past the 1e-10 condition bound
+    svals[-1] = svals[0] * 1e-11
+    assert np.linalg.lstsq((u * svals) @ vh, ytilde.T, rcond=None)[2] \
+        == phi.shape[1]
     with pytest.raises(IdentifiabilityError):
-        ls_estimates(obs)
+        ObservationSet(schedule=sched, ytilde=ytilde, phi=(u * svals) @ vh,
+                       sigma2=0.0)

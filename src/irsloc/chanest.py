@@ -8,7 +8,15 @@ factor.  This module recovers that sign-ambiguous estimate in three steps:
 2. ``initialize`` turns the averaged products into a first channel guess
    through square-root / geometric-mean identities row by row;
 3. ``refine`` runs cyclic coordinate descent on the weighted least-squares
-   ML objective, updating one complex entry at a time in closed form.
+   ML objective, updating one complex entry at a time in closed form.  The
+   weight is the Gram matrix of the shared design matrix, and every row
+   block of that matrix is (dtheta_l kron x_l) kron I_{M-M_t}, so
+   Phi^H Phi = K kron I_{M-M_t} with K the Gram matrix of the N M_t-dim
+   pattern rows.  An update of g[n, a] changes only the residuals of IRS
+   row n, which couple to the rest through the rows of K of IRS element n,
+   so the sweep runs row by row: one product gives the row's gradient, and
+   each entry step reads and updates it through the M_t x M_t in-row
+   block of K.
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -19,6 +27,8 @@ so the 2^N minimization collapses to N independent choices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -148,89 +158,163 @@ class ChannelEstimate:
     ne_trace: np.ndarray = field(repr=False, default=None)
 
 
+def _pattern_gram(gram: np.ndarray, n_patterns: int, n_rx: int) -> np.ndarray:
+    """The pattern Gram matrix K of a weight ``gram`` = K kron I_{n_rx}.
+
+    K is the r = 0 slice of ``gram`` viewed as (n_patterns, n_rx,
+    n_patterns, n_rx); raises ValueError when ``gram`` is not K kron I to
+    1e-12 relative.
+    """
+    k = np.ascontiguousarray(
+        gram.reshape(n_patterns, n_rx, n_patterns, n_rx)[:, 0, :, 0])
+    misfit = np.abs(gram - np.kron(k, np.eye(n_rx))).max()
+    if not misfit <= 1e-12 * np.abs(gram).max():
+        raise ValueError("weight is not a pattern Gram matrix kron I_{M-M_t} "
+                         f"(misfit {misfit:.3g})")
+    return k
+
+
+def _support_tables(subframes, m: int, m_t: int, n_rx: int) -> list:
+    """Per channel column a, the index lists of an entry step on g[n, a].
+
+    g[n, a] enters the residual entries (p, n, t, r) of row n through its
+    K support triples (p, t, r), each with the cofactor column c whose
+    entry multiplies it; the gradient index of (p, t, r) is
+    (p M_t + t) n_rx + r.  Triples sharing (p, r) form a group and couple
+    through the in-row pattern block Knn.  Where the transmit set of
+    subframe p holds a, at position t, every (p, t, r) is a group of one;
+    where a is receive antenna r, the M_t triples (p, t, r) are one group.
+    The groups fall into sets: per t the one-triple groups at t, and the
+    receive groups.  Within a set, each member t has one run of triples,
+    one per group.
+
+    A column's tuple holds:
+
+    * ``cols``, ``at``: the K cofactor columns and gradient indices, run
+      by run;
+    * ``chunks``: per set and per t_u, the terms (t_u M_t + t, start, stop)
+      of the entries d[u] = sum_t Knn[t_u, t] cof(run t) of the set's
+      groups, the Knn-coupled cofactors that give the curvature and the
+      gradient update;
+    * ``u_grad``: the gradient index of each entry of d, chunk by chunk;
+    * ``u_at``: the position in d of each triple's own (group, t).
+    """
+    tables = []
+    for a in range(m):
+        # each set: the base gradient index (p M_t n_rx + r) of its groups,
+        # and per member t the cofactor column of each group
+        tx_sets = [([], []) for _ in range(m_t)]
+        rx_bases, rx_cols = [], [[] for _ in range(m_t)]
+        for p, (a_set, b_set) in enumerate(subframes):
+            base = p * m_t * n_rx
+            if a in a_set:
+                bases, cofs = tx_sets[a_set.index(a)]
+                bases.extend(base + r for r in range(n_rx))
+                cofs.extend(b_set)
+            else:
+                rx_bases.append(base + b_set.index(a))
+                for t, c in enumerate(a_set):
+                    rx_cols[t].append(c)
+        sets = [(bases, {t: cofs}) for t, (bases, cofs) in enumerate(tx_sets) if bases]
+        sets.append((rx_bases, dict(enumerate(rx_cols))))
+
+        cols, at, chunks, u_grad, u_at = [], [], [], [], []
+        for bases, members in sets:
+            spans = {}
+            for t, run in members.items():
+                spans[t] = (len(cols), len(cols) + len(run))
+                cols.extend(run)
+                at.extend(base + t * n_rx for base in bases)
+            for t_u in range(m_t):
+                if t_u in members:
+                    u_at.extend(range(len(u_grad), len(u_grad) + len(bases)))
+                chunks.append([(t_u * m_t + t, lo, hi) for t, (lo, hi) in spans.items()])
+                u_grad.extend(base + t_u * n_rx for base in bases)
+        tables.append((cols, at, chunks, u_grad, u_at))
+    return tables
+
+
 class _MLObjective:
-    """Weighted LS objective over all subframes with O(nnz) coordinate steps.
+    """Weighted LS objective over all subframes, swept row by row.
 
     The weight is the common Gram matrix Phi^H Phi (proportional to the
     inverse LS covariance); with sigma2 > 0 the reported objective carries
     the physical 1/(2 sigma^2) scale, otherwise the unnormalized value
-    (the minimizer is scale invariant).
+    (the minimizer is scale invariant).  Every row block of Phi is
+    (dtheta_l kron x_l) kron I_{M-M_t}, so Phi^H Phi = K kron I_{M-M_t}
+    with K the (N M_t) x (N M_t) Gram matrix of the pattern rows, and the
+    objective is sum_p sum_r e_p[:, r]^H K e_p[:, r] over the residuals
+    viewed as (P, N M_t, M - M_t).
     """
 
     def __init__(self, obs: ObservationSet, g: np.ndarray):
         sched = obs.schedule
         self.n, self.m = sched.n_elements, sched.m_antennas
         self.m_t, self.n_rx = sched.m_t, sched.n_rx
-        self.weight = obs.gram
+        self.k = _pattern_gram(obs.gram, self.n * self.m_t, self.n_rx)
         self.scale = 1.0 / (2.0 * obs.sigma2) if obs.sigma2 > 0 else 1.0
-        self.omega_hat = ls_estimates(obs)
         self.subframes = sched.subframes
         self.g = g
+        n_sub = len(self.subframes)
+        self.a_cols = np.array([a_set for a_set, _ in self.subframes])
+        self.b_cols = np.array([b_set for _, b_set in self.subframes])
+        self.omega_hat = ls_estimates(obs).reshape(n_sub, self.n, self.m_t, self.n_rx)
+        self.tables = _support_tables(self.subframes, self.m, self.m_t, self.n_rx)
 
-        # Support of d omega / d g_{n,a} over all subframes, per channel
-        # column a: the (subframe, in-block offset, cofactor column) triples,
-        # concatenated in subframe order.  Every column has the same count K
-        # of triples; ``mask`` keeps the curvature block-diagonal by subframe.
-        self.block = self.m_t * self.n_rx
-        tables = []
-        for a in range(self.m):
-            sub, off, cof = [], [], []
-            for p, (a_set, b_set) in enumerate(self.subframes):
-                if a in a_set:
-                    offs = a_set.index(a) * self.n_rx + np.arange(self.n_rx)
-                    cols = b_set
-                else:
-                    offs = np.arange(self.m_t) * self.n_rx + b_set.index(a)
-                    cols = a_set
-                sub.extend([p] * len(cols))
-                off.extend(offs)
-                cof.extend(cols)
-            tables.append((sub, off, cof))
-        self.sub, self.off, self.cof = (np.array(t) for t in zip(*tables))
-        self.mask = self.sub[:, :, None] == self.sub[:, None, :]
+        self.residuals = np.empty((n_sub, self.n * self.m_t * self.n_rx), dtype=complex)
+        for row in range(self.n):
+            self.refresh_row(row)
 
-        self.residuals = np.empty_like(self.omega_hat)
-        self.refresh_residuals()
-
-    def omega_of(self, p: int) -> np.ndarray:
-        a_set, b_set = self.subframes[p]
-        g_a = self.g[:, list(a_set)]
-        g_b = self.g[:, list(b_set)]
-        prod = np.einsum("ni,nj->nij", g_a, g_b)
-        return prod.reshape(-1)
-
-    def refresh_residuals(self):
-        for p in range(len(self.subframes)):
-            self.residuals[p] = self.omega_hat[p] - self.omega_of(p)
+    def refresh_row(self, row: int):
+        """Residuals of channel row ``row`` recomputed from g."""
+        g = self.g[row]
+        prod = g[self.a_cols][:, :, None] * g[self.b_cols][:, None, :]
+        self.residuals.reshape(self.omega_hat.shape)[:, row] = \
+            self.omega_hat[:, row] - prod
 
     def value(self) -> float:
-        total = 0.0
-        for e in self.residuals:
-            total += float(np.real(e.conj() @ (self.weight @ e)))
-        return self.scale * total
+        e = self.residuals.reshape(len(self.subframes), self.n * self.m_t, self.n_rx)
+        return self.scale * float(np.vdot(e, self.k @ e).real)
 
-    def step_terms(self, row: int, col: int):
-        """Numerator and curvature of the exact step on g[row, col], with
-        the (subframe, flat omega index, cofactor) support it acts on."""
-        sub = self.sub[col]
-        idx = row * self.block + self.off[col]
-        cof = self.g[row, self.cof[col]]
-        w_rows = self.weight.take(idx, axis=0)
-        rowdot = (w_rows * self.residuals.take(sub, axis=0)).sum(axis=1)
-        num = cof.conj() @ rowdot
-        den = float(np.real(cof.conj() @ ((w_rows[:, idx] * self.mask[col]) @ cof)))
-        return num, den, sub, idx, cof
+    def sweep(self, on_update=None):
+        """Exact minimization over every entry of g, in row-major order.
 
-    def update_entry(self, row: int, col: int) -> bool:
-        """Exact minimization of the objective over g[row, col]; returns
-        False when the coordinate is degenerate (zero curvature)."""
-        num, den, sub, idx, cof = self.step_terms(row, col)
-        if den <= 0.0:
-            return False
-        step = num / den
-        self.g[row, col] += step
-        self.residuals[sub, idx] -= step * cof
-        return True
+        Per row, one product gives the gradient K[row block] @ e at the
+        row's start; each entry step then reads and updates it on plain
+        Python complex numbers.  An entry with zero curvature is skipped;
+        after every other step, ``on_update(row, col, num, den)`` is called
+        with g current and the row's residuals not yet refreshed.  The row
+        ends with its residuals recomputed from g.
+        """
+        m_t = self.m_t
+        e = self.residuals.reshape(len(self.subframes), self.n * m_t, self.n_rx)
+        for n in range(self.n):
+            block = slice(n * m_t, (n + 1) * m_t)
+            grad = (self.k[block] @ e).ravel().tolist()
+            knn = self.k[block, block].ravel().tolist()
+            row = self.g[n].tolist()
+            for a, (cols, at, chunks, u_grad, u_at) in enumerate(self.tables):
+                cof = list(map(row.__getitem__, cols))
+                cof_conj = list(map(complex.conjugate, cof))
+                num = sum(map(mul, cof_conj, map(grad.__getitem__, at)))
+                d = []
+                for terms in chunks:
+                    part = None
+                    for i, lo, hi in terms:
+                        scaled = map(mul, repeat(knn[i]), cof[lo:hi])
+                        part = scaled if part is None else map(add, part, scaled)
+                    d.extend(part)
+                den = sum(map(mul, cof_conj, map(d.__getitem__, u_at))).real
+                if den <= 0.0:
+                    continue
+                step = num / den
+                row[a] += step
+                self.g[n, a] = row[a]
+                for idx, d_u in zip(u_grad, d):
+                    grad[idx] -= step * d_u
+                if on_update is not None:
+                    on_update(n, a, num, den)
+            self.refresh_row(n)
 
 
 def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,
@@ -242,6 +326,8 @@ def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,
     exact minimizer of the ML objective over that entry, so the objective
     is nonincreasing update by update.  Stops when the relative objective
     decrease over a full sweep drops below ``tol`` or after ``max_sweeps``.
+    With ``record_update_objectives``, ``update_objectives`` holds the
+    objective after every update (entries with zero curvature are skipped).
     """
     state = _MLObjective(obs, np.array(g_init, dtype=complex))
     j_prev = state.value()
@@ -251,13 +337,12 @@ def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,
     converged = False
     sweeps = 0
 
+    def record(row, col, num, den):
+        state.refresh_row(row)
+        per_update.append(state.value())
+
     for sweeps in range(1, max_sweeps + 1):
-        for row in range(state.n):
-            for col in range(state.m):
-                state.update_entry(row, col)
-                if per_update is not None:
-                    per_update.append(state.value())
-        state.refresh_residuals()  # kill incremental drift
+        state.sweep(None if per_update is None else record)
         j_now = state.value()
         trace.append(j_now)
         if ne_trace is not None:

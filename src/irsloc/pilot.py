@@ -149,15 +149,13 @@ def build_design_matrix(schedule: PilotSchedule, p: int = 0) -> np.ndarray:
     """Stacked design matrix Phi of shape C(M-M_t) x N M_t (M-M_t).
 
     Row block l is dtheta(l)^T kron (x^T(l) kron I_{M-M_t}); identical for
-    every subframe p since the sequences are shared.
+    every subframe p since the sequences are shared.  Stacked, Phi is
+    pattern kron I_{M-M_t}, with pattern row l = dtheta(l)^T kron x^T(l).
     """
     del p  # shared across subframes by construction
-    n_rx = schedule.n_rx
-    eye = np.eye(n_rx)
-    blocks = [np.kron(schedule.delta_theta[l][None, :],
-                      np.kron(schedule.pilots[l][None, :], eye))
-              for l in range(schedule.n_diffs)]
-    return np.vstack(blocks)
+    pattern = (schedule.delta_theta[:, :, None] * schedule.pilots[:, None, :]
+               ).reshape(schedule.n_diffs, -1)
+    return np.kron(pattern, np.eye(schedule.n_rx))
 
 
 def true_omega(scene: Scene, schedule: PilotSchedule, p: int) -> np.ndarray:

@@ -1,0 +1,54 @@
+"""The benchmark's instruments still find the functions they wrap.
+
+``perfbench/instrument.py`` wraps module attributes by name (for example
+``chanest.refine`` and ``chanest.ls_estimates``), so renaming or inlining
+one of them silently empties a per-layer metric.  This test installs the
+benchmark's spans and recorder hooks on a tiny channel-estimation campaign
+and checks that they fired.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from irsloc import bqp, chanest, harness, localize, pilot, waveopt
+
+INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+
+
+def load_instrument(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_instrument", INSTRUMENT)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_chanest_spans_and_hooks_fire(monkeypatch):
+    instrument = load_instrument(monkeypatch)
+    patcher = instrument.Patcher()
+    original_refine = chanest.refine
+    try:
+        tracer = instrument.Tracer(patcher)
+        instrument.install_spans(
+            tracer, (harness, pilot, chanest, bqp, localize, waveopt))
+        rec = instrument.Recorder()
+        rec.install(patcher, (harness, pilot, localize, waveopt))
+        spec = harness.spec_from_dict({
+            "scene": {"m_antennas": 4, "n_x": 3, "n_y": 2, "sigma2_dbm": -120.0},
+            "pilot": {"m_t": 1, "snr_db": 15.0},
+            "points": [{"m_antennas": 4}, {"m_antennas": 5, "m_t": 2}],
+            "trials": 2, "master_seed": 7})
+        harness.run_chanest_campaign(spec)
+    finally:
+        patcher.restore()
+    assert chanest.refine is original_refine
+
+    estimates = 4
+    assert len(rec.estimates) == estimates
+    assert tracer.calls["chanest.refine"] == estimates
+    assert tracer.calls["pilot.ls_estimates"] == 2 * estimates
+    assert tracer.calls["pilot.simulate_pilot_round"] == estimates
+    assert tracer.counters["chanest.refine.sweeps"] > 0
+    assert tracer.self_s["chanest.refine"] > 0

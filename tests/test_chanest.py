@@ -1,4 +1,5 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy.optimize import minimize
 
 from irsloc.chanest import (_MLObjective, estimate_channel, initialize,
                             normalized_error, pairwise_products, refine)
-from irsloc.pilot import build_schedule, simulate_pilot_round, ls_covariance
+from irsloc.pilot import (build_schedule, ls_covariance, ls_estimates,
+                          simulate_pilot_round)
 from irsloc.scene import SceneConfig, synthesize_scene
 from irsloc.util import derive_seed
 
@@ -180,16 +182,24 @@ def test_single_entry_update_matches_numeric_minimizer():
 
     row, col = 1, 2
     state = _MLObjective(obs, g0.copy())
-    state.update_entry(row, col)
-    closed = state.g[row, col]
+    seen = {}
+
+    def snapshot(r, c, num, den):
+        if (r, c) == (row, col - 1):  # the update just before entry (1, 2)
+            seen["before"] = state.g.copy()
+        elif (r, c) == (row, col):
+            seen["closed"] = state.g[row, col]
+
+    state.sweep(snapshot)
+    g_before, closed = seen["before"], seen["closed"]
 
     def j_of(entry_re_im):
-        g = g0.copy()
+        g = g_before.copy()
         g[row, col] = entry_re_im[0] + 1j * entry_re_im[1]
         return _MLObjective(obs, g).value()
 
     # coarse grid then simplex refinement, fully independent of the closed form
-    scale = max(1.0, abs(g0[row, col]))
+    scale = max(1.0, abs(g_before[row, col]))
     grid = np.linspace(-2 * scale, 2 * scale, 21)
     best = min(((re, im) for re in grid for im in grid), key=lambda t: j_of(t))
     res = minimize(j_of, x0=np.array(best), method="Nelder-Mead",
@@ -247,9 +257,68 @@ def loop_step(state, row, col):
     return num, den, step, residuals
 
 
-@pytest.mark.parametrize("m,m_t,n_diffs", [(4, 1, None), (5, 2, None),
-                                           (5, 2, 13), (4, 3, 20)])
-def test_batched_step_matches_per_subframe_loop(m, m_t, n_diffs):
+class PerEntryObjective:
+    """The per-entry coordinate step over the full weight, kept as the
+    reference for the row-blocked sweep: every step gathers the K weight
+    rows of its support from the dense Gram matrix."""
+
+    def __init__(self, obs, g):
+        sched = obs.schedule
+        self.n, self.m = sched.n_elements, sched.m_antennas
+        self.m_t, self.n_rx = sched.m_t, sched.n_rx
+        self.weight = obs.gram
+        self.omega_hat = ls_estimates(obs)
+        self.subframes = sched.subframes
+        self.g = g
+        self.block = self.m_t * self.n_rx
+        tables = []
+        for a in range(self.m):
+            sub, off, cof = [], [], []
+            for p, (a_set, b_set) in enumerate(self.subframes):
+                if a in a_set:
+                    offs = a_set.index(a) * self.n_rx + np.arange(self.n_rx)
+                    cols = b_set
+                else:
+                    offs = np.arange(self.m_t) * self.n_rx + b_set.index(a)
+                    cols = a_set
+                sub.extend([p] * len(cols))
+                off.extend(offs)
+                cof.extend(cols)
+            tables.append((sub, off, cof))
+        self.sub, self.off, self.cof = (np.array(t) for t in zip(*tables))
+        self.mask = self.sub[:, :, None] == self.sub[:, None, :]
+        self.residuals = np.empty_like(self.omega_hat)
+        self.refresh_residuals()
+
+    def refresh_residuals(self):
+        for p, (a_set, b_set) in enumerate(self.subframes):
+            prod = np.einsum("ni,nj->nij", self.g[:, list(a_set)], self.g[:, list(b_set)])
+            self.residuals[p] = self.omega_hat[p] - prod.reshape(-1)
+
+    def step_terms(self, row, col):
+        sub = self.sub[col]
+        idx = row * self.block + self.off[col]
+        cof = self.g[row, self.cof[col]]
+        w_rows = self.weight.take(idx, axis=0)
+        rowdot = (w_rows * self.residuals.take(sub, axis=0)).sum(axis=1)
+        num = cof.conj() @ rowdot
+        den = float(np.real(cof.conj() @ ((w_rows[:, idx] * self.mask[col]) @ cof)))
+        return num, den, sub, idx, cof
+
+    def update_entry(self, row, col):
+        num, den, sub, idx, cof = self.step_terms(row, col)
+        if den <= 0.0:
+            return None
+        step = num / den
+        self.g[row, col] += step
+        self.residuals[sub, idx] -= step * cof
+        return num, den, step
+
+
+SHAPES = [(4, 1, None), (5, 2, None), (5, 2, 13), (4, 3, 20)]
+
+
+def perturbed_round(m, m_t, n_diffs):
     # n_diffs = 13 with M_t = 2 leaves the last pattern half used, so the
     # Gram matrix is not a Kronecker product of pattern and pilot parts
     cfg = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-120.0)
@@ -260,18 +329,111 @@ def test_batched_step_matches_per_subframe_loop(m, m_t, n_diffs):
     rng = np.random.default_rng(5)
     g0 = scene.G + 0.3 * np.abs(scene.G).mean() * (
         rng.standard_normal(scene.G.shape) + 1j * rng.standard_normal(scene.G.shape))
+    return obs, g0
+
+
+def close(a, b, rtol=1e-12):
+    return np.abs(np.asarray(a) - b).max() <= rtol * np.abs(b).max()
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
+def test_row_sweep_matches_per_entry_oracle(m, m_t, n_diffs):
+    obs, g0 = perturbed_round(m, m_t, n_diffs)
+    g0[2] = 0.0       # every entry of row 2 has zero curvature
+    g0[4, 1:] = 0.0   # of row 4 only (4, 0), in the first sweep
+    oracle = PerEntryObjective(obs, g0.copy())
     state = _MLObjective(obs, g0.copy())
-    for row in range(cfg.n_elements):
-        for col in range(m):
-            num, den, step, residuals = loop_step(state, row, col)
-            b_num, b_den = state.step_terms(row, col)[:2]
-            before = state.g[row, col]
-            assert state.update_entry(row, col)
-            assert abs(b_num - num) <= 1e-12 * abs(num)
-            assert abs(b_den - den) <= 1e-12 * abs(den)
-            assert abs((state.g[row, col] - before) - step) <= 1e-12 * abs(step)
-            scale = np.abs(residuals).max()
-            assert np.abs(state.residuals - residuals).max() <= 1e-12 * scale
+    for _ in range(3):
+        expected = []
+        for row in range(oracle.n):
+            for col in range(m):
+                terms = oracle.update_entry(row, col)
+                if terms is not None:
+                    expected.append(((row, col), *terms, oracle.g.copy(),
+                                     oracle.residuals.copy()))
+        oracle.refresh_residuals()
+        g_prev = state.g.copy()
+        seen = []
+
+        def record(row, col, num, den):
+            state.refresh_row(row)
+            seen.append(((row, col), num, den, state.g.copy(),
+                         state.residuals.copy()))
+
+        state.sweep(record)
+        assert [s[0] for s in seen] == [e[0] for e in expected]
+        for (entry, num, den, g, res), (_, o_num, o_den, o_step, o_g, o_res) \
+                in zip(seen, expected):
+            assert abs(num - o_num) <= 1e-12 * abs(o_num)
+            assert abs(den - o_den) <= 1e-12 * abs(o_den)
+            assert abs((g[entry] - g_prev[entry]) - o_step) <= 1e-12 * abs(o_step)
+            assert close(g, o_g)
+            assert close(res, o_res)
+            g_prev = g
+    assert not np.any(state.g[2])
+
+
+def snapshot(state, obs):
+    """The fields ``loop_step`` reads, copied from a live state."""
+    return SimpleNamespace(m_t=state.m_t, n_rx=state.n_rx,
+                           subframes=state.subframes, weight=obs.gram,
+                           g=state.g.copy(), residuals=state.residuals.copy())
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
+def test_batched_step_matches_per_subframe_loop(m, m_t, n_diffs):
+    obs, g0 = perturbed_round(m, m_t, n_diffs)
+    state = _MLObjective(obs, g0.copy())
+    before = [snapshot(state, obs)]
+    entries = []
+
+    def check(row, col, num, den):
+        l_num, l_den, step, residuals = loop_step(before[0], row, col)
+        state.refresh_row(row)
+        assert abs(num - l_num) <= 1e-12 * abs(l_num)
+        assert abs(den - l_den) <= 1e-12 * abs(l_den)
+        assert abs((state.g[row, col] - before[0].g[row, col]) - step) \
+            <= 1e-12 * abs(step)
+        assert np.abs(state.residuals - residuals).max() \
+            <= 1e-12 * np.abs(residuals).max()
+        before[0] = snapshot(state, obs)
+        entries.append((row, col))
+
+    state.sweep(check)
+    assert entries == [(row, col) for row in range(obs.schedule.n_elements)
+                       for col in range(m)]
+
+
+def test_record_update_objectives_keeps_trajectory():
+    scene, obs = make_noisy_obs(15.0, scene_seed=5, noise_seed=17)
+    g0 = initialize(pairwise_products(obs))
+    plain = refine(obs, g0, max_sweeps=40)
+    recorded = refine(obs, g0, max_sweeps=40, record_update_objectives=True)
+    assert np.array_equal(plain.g_hat, recorded.g_hat)
+    assert np.array_equal(plain.objective_trace, recorded.objective_trace)
+    assert plain.update_objectives is None
+
+
+def test_update_objectives_one_per_update():
+    obs, g0 = perturbed_round(4, 1, None)
+    g0[2] = 0.0  # a zero row stays zero: all its entries are skipped
+    est = refine(obs, g0, max_sweeps=5, record_update_objectives=True)
+    n, m = g0.shape
+    assert est.update_objectives.shape == (est.iterations_run * (n - 1) * m,)
+    assert not np.any(est.g_hat[2])
+    # the last recorded objective is the sweep's
+    assert est.update_objectives[-1] == pytest.approx(est.objective_trace[-1],
+                                                      rel=1e-12)
+
+
+def test_weight_must_be_pattern_gram_kron_identity():
+    obs, g0 = perturbed_round(5, 2, None)
+    bad = obs.gram.copy()
+    bad[0, 1] += 1e-6 * np.abs(bad).max()  # couples receive antennas 0 and 1
+    bad[1, 0] = np.conj(bad[0, 1])
+    obs.gram = bad
+    with pytest.raises(ValueError):
+        refine(obs, g0)
 
 
 # ------------------------------------------------------------------ metric

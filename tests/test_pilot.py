@@ -71,6 +71,22 @@ def test_design_matrix_conditioning():
     assert svals[0] / svals[-1] < 1e3
 
 
+def loop_design_matrix(schedule):
+    """Row block by row block: dtheta(l)^T kron (x^T(l) kron I)."""
+    eye = np.eye(schedule.n_rx)
+    return np.vstack([np.kron(schedule.delta_theta[l][None, :],
+                              np.kron(schedule.pilots[l][None, :], eye))
+                      for l in range(schedule.n_diffs)])
+
+
+@pytest.mark.parametrize("m,m_t,n,n_diffs", [
+    (4, 1, 25, None), (6, 1, 25, None), (6, 2, 25, None), (5, 2, 6, 13),
+    (4, 3, 6, 20), (6, 3, 9, None)])
+def test_design_matrix_matches_loop_oracle(m, m_t, n, n_diffs):
+    sched = build_schedule(m, m_t, n, n_diffs=n_diffs, pilot_power=3.0)
+    assert np.array_equal(build_design_matrix(sched), loop_design_matrix(sched))
+
+
 def test_unit_selector_structure():
     # dtheta a unit vector picks out exactly the columns of row n
     n, m = 3, 3

@@ -5,7 +5,10 @@ Two layers:
 * ``quad_binary_max`` solves max_{delta in {-1,+1}^N} delta^H R delta
   exactly by enumerating all 2^(N-1) sign vectors through split tables:
   with delta = [1, p, q], each value is a prefix form plus a suffix form
-  plus one entry of a prefix-by-suffix matrix product;
+  plus one entry of a prefix-by-suffix matrix product.  Both forms are
+  folded into that product as two extra columns and rows, so each block
+  of about 2^15 table entries is one matrix product into one reused
+  buffer;
 * ``dinkelbach_solve`` maximizes a ratio of two such forms via the
   classical parametric sequence y <- num(delta)/den(delta), each inner
   problem solved exactly, which makes the y-sequence nondecreasing and the
@@ -26,10 +29,10 @@ McCormick-linked auxiliaries) is kept as a cross-check path via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .util import is_hermitian
 
@@ -76,56 +79,66 @@ class BqpResult:
     exact: bool
 
 
-def _local_search(s: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Greedy single-flip ascent on delta^T S delta, first coordinate pinned."""
-    n = s.shape[0]
-    delta = delta.copy()
-    min_gain = 1e-12 * np.abs(s).sum(axis=1)  # rounding at each row's scale
-    improved = True
-    while improved:
-        improved = False
-        field_vec = s @ delta
-        for i in range(1, n):
-            # flipping delta_i changes the value by -4 delta_i (field_i - s_ii delta_i)
-            gain = -4.0 * delta[i] * (field_vec[i] - s[i, i] * delta[i])
-            if gain > min_gain[i]:
-                delta[i] = -delta[i]
-                field_vec = s @ delta
-                improved = True
-    return delta
+@lru_cache(maxsize=None)
+def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only prefix and suffix sign tables for length n: the rows of
+    ``sign_vectors(n - n // 2)`` and the last n // 2 columns of
+    ``sign_vectors(n // 2 + 1)``, at most 2^12 x 12 at the default cap.
+    The full ``sign_vectors(n)`` table (1.6 GB at n = 24) is never cached."""
+    pre = sign_vectors(n - n // 2)
+    suf = sign_vectors(n // 2 + 1)[:, 1:]
+    pre.flags.writeable = False
+    suf.flags.writeable = False
+    return pre, suf
 
 
 def _near_max_vectors(s: np.ndarray):
     """Sign vectors, in canonical order, whose table value is near the max.
 
-    With delta = [a, q], a = [1, p], the table a^T S11 a + q^T S22 q +
-    a^T (2 S12) q is built one block of prefixes at a time.  The band,
-    1e-9 sum|s_ij|, is far above the rounding of the table and of
-    ``quad_form_value`` at any scale.
+    With delta = [a, q], a = [1, p], the table value is a^T S11 a +
+    q^T S22 q + a^T (2 S12) q.  The row values are folded into one product,
+    [a^T 2 S12, a^T S11 a, 1] @ [q; 1; q^T S22 q], so a block of prefixes
+    costs one matrix product written into one reused buffer of about 2^15
+    entries; the band scan of a block whose maximum lies below the band
+    of the running maximum is skipped.  The band, 1e-9 sum|s_ij|, is far
+    above the rounding of the table and of ``quad_form_value`` at any
+    scale.
     """
     n = s.shape[0]
     k = n - n // 2
-    pre = sign_vectors(k)
-    suf = sign_vectors(n // 2 + 1)[:, 1:]
-    pre_val = np.einsum("bi,ij,bj->b", pre, s[:k, :k], pre)
-    suf_val = np.einsum("bi,ij,bj->b", suf, s[k:, k:], suf)
-    cross = pre @ (2.0 * s[:k, k:])
+    pre, suf = _split_tables(n)
+    n_suf = len(suf)
+    lhs = np.empty((len(pre), n // 2 + 2))
+    np.matmul(pre, 2.0 * s[:k, k:], out=lhs[:, :-2])
+    lhs[:, -2] = (pre @ s[:k, :k] * pre).sum(axis=1)
+    lhs[:, -1] = 1.0
+    # filled in place to stay row-major: stacked from ``suf.T`` it would be
+    # column-major, and every block product slower
+    rhs = np.empty((n // 2 + 2, n_suf))
+    rhs[:-2] = suf.T
+    rhs[-2] = 1.0
+    rhs[-1] = (suf @ s[k:, k:] * suf).sum(axis=1)
     band = 1e-9 * float(np.abs(s).sum())
-    rows = max(1, 2 ** 15 // len(suf))  # about 2^15 entries per block
+    rows = max(1, 2 ** 15 // n_suf)
+    buf = np.empty((min(rows, len(pre)), n_suf))
     top, hits, hit_values = -np.inf, [], []
     for start in range(0, len(pre), rows):
-        block = (cross[start:start + rows] @ suf.T
-                 + pre_val[start:start + rows, None] + suf_val).ravel()
-        top = max(top, float(block.max()))
-        keep = np.flatnonzero(block >= top - band)
-        hits.append(keep + start * len(suf))
-        hit_values.append(block[keep])
+        block = buf[:min(rows, len(pre) - start)]
+        np.matmul(lhs[start:start + rows], rhs, out=block)
+        block_top = float(block.max())
+        top = max(top, block_top)
+        if block_top < top - band:
+            continue
+        flat = block.ravel()
+        keep = np.flatnonzero(flat >= top - band)
+        hits.append(keep + start * n_suf)
+        hit_values.append(flat[keep])
     for i in np.concatenate(hits)[np.concatenate(hit_values) >= top - band]:
-        yield np.concatenate([pre[i // len(suf)], suf[i % len(suf)]])
+        yield np.concatenate([pre[i // n_suf], suf[i % n_suf]])
 
 
 def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
-                    exact_cap: int = 24, allow_heuristic: bool = False,
+                    exact_cap: int = 24,
                     scale: float | None = None) -> BqpResult:
     """Global maximizer of delta^H R delta over {-1,+1}^N.
 
@@ -133,7 +146,7 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
     Starting from all-ones, then ``initial`` (warm start), each table
     entry near the maximum replaces the incumbent, in enumeration order,
     only if strictly better by :func:`quad_form_value`.  Sizes above
-    ``exact_cap`` raise unless ``allow_heuristic`` (flagged local search).
+    ``exact_cap`` raise :class:`SizeCapError`.
     ``r`` must be Hermitian relative to ``scale`` (default: max |r_ij|).
     """
     r = np.asarray(r)
@@ -148,13 +161,7 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
         candidates.append(d if d[0] > 0 else -d)
 
     if n > exact_cap:
-        if not allow_heuristic:
-            raise SizeCapError(
-                f"N={n} exceeds exact-solve cap {exact_cap}; pass "
-                "allow_heuristic=True for a flagged local-search solution")
-        best_d = max((_local_search(s, d) for d in candidates),
-                     key=lambda d: quad_form_value(r, d))
-        return BqpResult(best_d, quad_form_value(r, best_d), False)
+        raise SizeCapError(f"N={n} exceeds exact-solve cap {exact_cap}")
 
     best_delta, best_value = None, -np.inf
     for cand in chain(candidates, _near_max_vectors(s)):
@@ -210,8 +217,7 @@ class DinkelbachResult:
 
 def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
                      tol: float = 1e-9, max_iters: int = 50,
-                     exact_cap: int = 24,
-                     allow_heuristic: bool = False) -> DinkelbachResult:
+                     exact_cap: int = 24) -> DinkelbachResult:
     """Parametric (Dinkelbach) iterations for the sign-vector ratio problem.
 
     Each step solves max delta^H (numerator - y denominator) delta exactly
@@ -230,7 +236,6 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
         # Hermitian up to its operands' rounding, which is all of it if they cancel
         scale = np.abs(prob.numerator).max() + abs(y) * np.abs(prob.denominator).max()
         res = quad_binary_max(shifted, initial=delta, exact_cap=exact_cap,
-                              allow_heuristic=allow_heuristic,
                               scale=float(scale))
         exact = exact and res.exact
         delta = res.delta
@@ -287,6 +292,10 @@ def solve_ilp(inst: IlpInstance):
     ``quad_binary_max``), and the raw ILP optimum, which should match
     ``value - inst.constant`` up to solver rounding.
     """
+    # imported here only: scipy.optimize costs every process that imports
+    # irsloc about 0.4 s of start-up and 40 MB of resident memory
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     n = inst.n
     n_pairs = inst.pair_i.size
     n_var = n + n_pairs

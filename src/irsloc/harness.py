@@ -371,7 +371,7 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # numpy 2 spells np.float64 out in repr
     return str(value)
 
 

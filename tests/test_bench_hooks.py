@@ -2,9 +2,9 @@
 
 ``perfbench/instrument.py`` wraps module attributes by name (for example
 ``chanest.refine`` and ``chanest.ls_estimates``), so renaming or inlining
-one of them silently empties a per-layer metric.  This test installs the
-benchmark's spans and recorder hooks on a tiny channel-estimation campaign
-and checks that they fired.
+one of them silently empties a per-layer metric.  These tests install the
+benchmark's spans and recorder hooks on tiny channel-estimation and
+localization campaigns and check that they fired.
 """
 
 import importlib.util
@@ -52,3 +52,37 @@ def test_chanest_spans_and_hooks_fire(monkeypatch):
     assert tracer.calls["pilot.simulate_pilot_round"] == estimates
     assert tracer.counters["chanest.refine.sweeps"] > 0
     assert tracer.self_s["chanest.refine"] > 0
+
+
+def test_localization_fit_spans_fire(monkeypatch):
+    instrument = load_instrument(monkeypatch)
+    patcher = instrument.Patcher()
+    original_solve = bqp.quad_binary_max
+    try:
+        tracer = instrument.Tracer(patcher)
+        instrument.install_spans(
+            tracer, (harness, pilot, chanest, bqp, localize, waveopt))
+        rec = instrument.Recorder()
+        rec.install(patcher, (harness, pilot, localize, waveopt))
+        spec = harness.spec_from_dict({
+            "scene": {"m_antennas": 4, "n_x": 5, "n_y": 2,
+                      "sigma2_dbm": -120.0, "target_rcs_amplitude": 2e-5},
+            "pilot": {"m_t": 1, "snr_db": 40.0},
+            "localization": {"n_grids": 4, "snapshots": 8,
+                             "max_cycles": 2, "threshold": 1.0},
+            "points": [{"arm": "random"}],
+            "trials": 1, "master_seed": 110})
+        harness.run_localization_campaign(spec)
+    finally:
+        patcher.restore()
+    assert bqp.quad_binary_max is original_solve
+
+    cycles = 2
+    assert len(rec.cycles) == cycles
+    assert tracer.calls["localize.run_cycle"] == cycles
+    # one fit per hypothesis, one Dinkelbach step per fit
+    for name in ("localize.joint_ml", "bqp.dinkelbach_solve",
+                 "bqp.quad_binary_max"):
+        assert tracer.calls[name] == 4 * cycles, name
+    assert tracer.counters["bqp.dinkelbach_solve.iterations"] == 4 * cycles
+    assert tracer.self_s["bqp.quad_binary_max"] > 0

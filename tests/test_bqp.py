@@ -139,15 +139,8 @@ def test_warm_start_kept_among_tied_maximizers():
 
 
 def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
-    # the inner problems num - y den of one N = 10 joint_ml fit at echo scale
-    cfg = SceneConfig(m_antennas=4, n_x=5, n_y=2, sigma2_dbm=-120.0,
-                      target_rcs_amplitude=2e-5)
-    scene = synthesize_scene(cfg, seed=12)
-    rng = np.random.default_rng(13)
-    theta = random_unit_modulus(rng, cfg.n_elements)
-    x = np.sqrt(50.0 / cfg.m_antennas) * np.ones(cfg.m_antennas, dtype=complex)
-    y = simulate_echo(scene, x, theta, snapshots=8, seed=14)
-    phi = hypothesis_design(scene.G, theta, scene.a, snapshots=8)
+    # the inner problems num - y den of one joint_ml fit at echo scale, at
+    # desk (N = 10) and paper (N = 20) scale
     shifted = []
     solve = bqp.quad_binary_max
 
@@ -156,13 +149,58 @@ def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
         return solve(r, **kw)
 
     monkeypatch.setattr(bqp, "quad_binary_max", record)
-    joint_ml(y, phi)
-    assert shifted and np.abs(shifted[0]).max() < 1e-10
+    for n_y in (2, 4):
+        cfg = SceneConfig(m_antennas=4, n_x=5, n_y=n_y, sigma2_dbm=-120.0,
+                          target_rcs_amplitude=2e-5)
+        scene = synthesize_scene(cfg, seed=12)
+        rng = np.random.default_rng(13)
+        theta = random_unit_modulus(rng, cfg.n_elements)
+        x = np.sqrt(50.0 / cfg.m_antennas) * np.ones(cfg.m_antennas,
+                                                     dtype=complex)
+        y = simulate_echo(scene, x, theta, snapshots=8, seed=14)
+        phi = hypothesis_design(scene.G, theta, scene.a, snapshots=8)
+        joint_ml(y, phi)
+    assert {len(r) for r in shifted} == {10, 20}
     for r in shifted:
+        assert np.abs(r).max() < 1e-10
         d_br, v_br = brute_force_max(r)
         res = solve(r)
         assert res.value == v_br
         assert np.array_equal(res.delta, d_br)
+
+
+def test_integer_ties_go_to_first_maximizer():
+    # {-1, 0, 1} couplings: every value is an exact small integer, so many
+    # sign vectors tie bitwise and the first in canonical order must win
+    rng = np.random.default_rng(48)
+    for n in (2, 3, 5, 8, 11, 14):
+        for _ in range(5):
+            t = rng.integers(-1, 2, (n, n)).astype(float)
+            r = np.triu(t) + np.triu(t, 1).T
+            d_br, v_br = brute_force_max(r)
+            res = quad_binary_max(r)
+            assert res.value == v_br
+            assert np.array_equal(res.delta, d_br)
+
+
+def test_split_tables_cached_read_only():
+    pre, suf = bqp._split_tables(9)
+    assert bqp._split_tables(9)[0] is pre
+    assert np.array_equal(pre, sign_vectors(5))
+    assert np.array_equal(suf, sign_vectors(5)[:, 1:])
+    for table in (pre, suf):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = -1.0
+    # two matrices of one size share the tables without interfering
+    rng = np.random.default_rng(49)
+    a, b = random_hermitian(rng, 9), random_hermitian(rng, 9, scale=1e-14)
+    results = [quad_binary_max(r) for r in (a, b, a, b)]
+    for res, r in zip(results, (a, b, a, b)):
+        d_br, v_br = brute_force_max(r)
+        assert res.value == v_br
+        assert np.array_equal(res.delta, d_br)
+    assert np.array_equal(pre, sign_vectors(5))
 
 
 def test_canonical_first_coordinate_positive():
@@ -172,19 +210,11 @@ def test_canonical_first_coordinate_positive():
         assert res.delta[0] == 1.0
 
 
-def test_size_cap_refusal_and_heuristic():
+def test_size_cap_refusal():
     rng = np.random.default_rng(1)
     r = random_hermitian(rng, 30)
     with pytest.raises(SizeCapError):
         quad_binary_max(r)
-    res = quad_binary_max(r, allow_heuristic=True)
-    assert not res.exact
-    assert np.all(np.abs(res.delta) == 1.0)
-    # heuristic is at least a 1-flip local optimum
-    for i in range(1, 30):
-        flipped = res.delta.copy()
-        flipped[i] *= -1
-        assert quad_form_value(r, flipped) <= res.value + 1e-9
 
 
 def test_non_hermitian_rejected():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,21 @@ def write_config(tmp_path, payload):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def test_cli_import_leaves_ilp_solver_unloaded():
+    # only the ILP cross-check needs scipy.optimize, which costs start-up
+    # time and resident memory
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, irsloc.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_unknown_flag_exits_two(capsys):

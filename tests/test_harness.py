@@ -96,6 +96,18 @@ def test_convergence_table_recorded():
     assert {"sweep", "objective", "ne"} <= set(rows[0])
 
 
+def test_convergence_csv_cells_are_numbers(tmp_path):
+    # the traces are numpy arrays, so their elements are np.float64
+    write_result(run_chanest_campaign(chanest_spec(record_convergence=True)),
+                 tmp_path)
+    lines = (tmp_path / "chanest_convergence.csv").read_text().splitlines()
+    assert lines[-1] == "# manifest=manifest.json"
+    assert len(lines) > 2
+    for line in lines[1:-1]:
+        for cell in line.split(","):
+            float(cell)
+
+
 def localization_spec(**kw):
     base = dict(
         scene=noiseless_scene(n_x=3, n_y=2),

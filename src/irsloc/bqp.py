@@ -3,12 +3,16 @@
 Two layers:
 
 * ``quad_binary_max`` solves max_{delta in {-1,+1}^N} delta^H R delta
-  exactly by enumerating all 2^(N-1) sign vectors through split tables:
-  with delta = [1, p, q], each value is a prefix form plus a suffix form
-  plus one entry of a prefix-by-suffix matrix product.  Both forms are
-  folded into that product as two extra columns and rows, so each block
-  of about 2^15 table entries is one matrix product into one reused
-  buffer;
+  exactly over the 2^(N-1) sign vectors through split tables: with
+  delta = [1, p, q], each value is a prefix form plus a suffix form plus
+  one entry of a prefix-by-suffix matrix product.  Both forms are folded
+  into that product as two extra columns and rows, so each block of about
+  2^15 table entries is one matrix product into one reused buffer.  A
+  table of more than one block (N >= 17) is visited prefix by prefix in
+  decreasing order of an upper bound on the prefix's entries, and the
+  visit stops once no prefix left can reach the band of the maximum.
+  Every entry that can win lies in a visited prefix, so the candidates
+  rescored are those of the full table and the result is the same;
 * ``dinkelbach_solve`` maximizes a ratio of two such forms via the
   classical parametric sequence y <- num(delta)/den(delta), each inner
   problem solved exactly, which makes the y-sequence nondecreasing and the
@@ -76,7 +80,6 @@ def brute_force_max(r: np.ndarray, cap: int = 20):
 class BqpResult:
     delta: np.ndarray
     value: float
-    exact: bool
 
 
 @lru_cache(maxsize=None)
@@ -92,17 +95,37 @@ def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pre, suf
 
 
-def _near_max_vectors(s: np.ndarray):
-    """Sign vectors, in canonical order, whose table value is near the max.
+@lru_cache(maxsize=None)
+def _suffix_rows(n: int) -> np.ndarray:
+    """Read-only constant rows [suf^T; 1] of the table product's right
+    factor for length n, row-major (at most 13 x 4096 at the default cap)."""
+    suf = _split_tables(n)[1]
+    rows = np.vstack([suf.T, np.ones((1, len(suf)))])
+    rows.flags.writeable = False
+    return rows
+
+
+def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
+    """Canonical indices of the table entries near the maximum, ascending,
+    and the number of prefixes whose block of the table was computed.
 
     With delta = [a, q], a = [1, p], the table value is a^T S11 a +
     q^T S22 q + a^T (2 S12) q.  The row values are folded into one product,
     [a^T 2 S12, a^T S11 a, 1] @ [q; 1; q^T S22 q], so a block of prefixes
-    costs one matrix product written into one reused buffer of about 2^15
-    entries; the band scan of a block whose maximum lies below the band
-    of the running maximum is skipped.  The band, 1e-9 sum|s_ij|, is far
-    above the rounding of the table and of ``quad_form_value`` at any
-    scale.
+    costs one matrix product; blocks of a larger table are written into one
+    reused buffer of about 2^15 entries.  An entry is near the maximum when it lies within the band,
+    1e-9 sum|s_ij|, of the table's maximum; the band is far above the
+    rounding of the table and of ``quad_form_value`` at any scale.
+
+    A table of one block is one product.  A larger table is visited prefix
+    by prefix in decreasing order of the bound u(a) = a^T S11 a +
+    max_q q^T S22 q + ||2 S12^T a||_1, which no entry of prefix a exceeds,
+    in blocks that double from one row up to the block size, and the visit
+    stops once the next bound is below ``top - 2 band`` (``top``: the
+    largest entry so far).  An entry within the band of the maximum lies in
+    a prefix whose bound reaches ``top - band`` up to rounding, and the
+    second band covers that rounding, so every such entry is computed, the
+    maximum among them; the hits are the same as those of the full table.
     """
     n = s.shape[0]
     k = n - n // 2
@@ -110,30 +133,51 @@ def _near_max_vectors(s: np.ndarray):
     n_suf = len(suf)
     lhs = np.empty((len(pre), n // 2 + 2))
     np.matmul(pre, 2.0 * s[:k, k:], out=lhs[:, :-2])
-    lhs[:, -2] = (pre @ s[:k, :k] * pre).sum(axis=1)
+    lhs[:, -2] = np.einsum("bi,bi->b", pre @ s[:k, :k], pre)
     lhs[:, -1] = 1.0
-    # filled in place to stay row-major: stacked from ``suf.T`` it would be
-    # column-major, and every block product slower
     rhs = np.empty((n // 2 + 2, n_suf))
-    rhs[:-2] = suf.T
-    rhs[-2] = 1.0
-    rhs[-1] = (suf @ s[k:, k:] * suf).sum(axis=1)
+    rhs[:-1] = _suffix_rows(n)
+    rhs[-1] = np.einsum("bi,bi->b", suf @ s[k:, k:], suf)
     band = 1e-9 * float(np.abs(s).sum())
     rows = max(1, 2 ** 15 // n_suf)
-    buf = np.empty((min(rows, len(pre)), n_suf))
-    top, hits, hit_values = -np.inf, [], []
-    for start in range(0, len(pre), rows):
-        block = buf[:min(rows, len(pre) - start)]
-        np.matmul(lhs[start:start + rows], rhs, out=block)
+    if rows >= len(pre):
+        flat = (lhs @ rhs).ravel()
+        return np.flatnonzero(flat >= float(flat.max()) - band), len(pre)
+
+    neg_bound = -(lhs[:, -2] + float(rhs[-1].max())
+                  + np.abs(lhs[:, :-2]) @ np.ones(n // 2))
+    order = np.argsort(neg_bound, kind="stable")
+    # ascending, so the prefixes whose bound reaches a level are those
+    # before its searchsorted position
+    neg_bound = neg_bound[order]
+    buf = np.empty((rows, n_suf))
+    top, size, visited, hits, hit_values = -np.inf, 1, 0, [], []
+    while True:
+        reach = int(neg_bound.searchsorted(2.0 * band - top, side="right"))
+        if visited >= reach:
+            break
+        chunk = order[visited:min(visited + size, reach)]
+        block = buf[:len(chunk)]
+        np.matmul(lhs[chunk], rhs, out=block)
         block_top = float(block.max())
         top = max(top, block_top)
+        visited += len(chunk)
+        size = min(2 * size, rows)
         if block_top < top - band:
             continue
-        flat = block.ravel()
-        keep = np.flatnonzero(flat >= top - band)
-        hits.append(keep + start * n_suf)
-        hit_values.append(flat[keep])
-    for i in np.concatenate(hits)[np.concatenate(hit_values) >= top - band]:
+        row, col = np.nonzero(block >= top - band)
+        hits.append(chunk[row] * n_suf + col)
+        hit_values.append(block[row, col])
+    hits = np.concatenate(hits)
+    return np.sort(hits[np.concatenate(hit_values) >= top - band]), visited
+
+
+def _near_max_vectors(s: np.ndarray):
+    """Sign vectors, in canonical order, whose table value lies within the
+    band of the table's maximum (see :func:`_table_hits`)."""
+    pre, suf = _split_tables(s.shape[0])
+    n_suf = len(suf)
+    for i in _table_hits(s)[0]:
         yield np.concatenate([pre[i // n_suf], suf[i % n_suf]])
 
 
@@ -153,7 +197,9 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
     n = r.shape[0]
     if r.shape != (n, n) or not is_hermitian(r, scale=scale):
         raise ValueError("expected a Hermitian matrix")
-    s = (np.real(r) + np.real(r).T) / 2.0
+    # the real part, contiguous, scores every candidate as quad_form_value(r)
+    real = np.ascontiguousarray(np.real(r))
+    s = (real + real.T) / 2.0
 
     candidates = [np.ones(n)]
     if initial is not None:
@@ -165,10 +211,10 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
 
     best_delta, best_value = None, -np.inf
     for cand in chain(candidates, _near_max_vectors(s)):
-        value = quad_form_value(r, cand)
+        value = quad_form_value(real, cand)
         if value > best_value:
             best_value, best_delta = value, cand
-    return BqpResult(best_delta, best_value, True)
+    return BqpResult(best_delta, best_value)
 
 
 @dataclass
@@ -189,9 +235,14 @@ class RatioProblem:
             mat = np.asarray(mat)
             if not is_hermitian(mat):
                 raise ValueError(f"{name} must be Hermitian")
-            scale = float(np.abs(mat).max())
-            if np.linalg.eigvalsh(mat).min() < -1e-9 * scale:
-                raise ValueError(f"{name} must be positive semidefinite")
+            # PSD to 1e-9 of its largest entry: A + tau I must factor
+            tau = 1e-9 * float(np.abs(mat).max())
+            if tau == 0.0:
+                continue
+            try:
+                np.linalg.cholesky(mat + tau * np.eye(len(mat)))
+            except np.linalg.LinAlgError:
+                raise ValueError(f"{name} must be positive semidefinite") from None
 
     @property
     def n(self) -> int:
@@ -211,7 +262,6 @@ class DinkelbachResult:
     ratio: float
     y_trace: np.ndarray
     converged: bool
-    exact: bool
     iterations: int
 
 
@@ -229,7 +279,6 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
     y = prob.ratio(delta)
     trace = [y]
     converged = False
-    exact = True
     iterations = 0
     for iterations in range(1, max_iters + 1):
         shifted = prob.numerator - y * prob.denominator
@@ -237,7 +286,6 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
         scale = np.abs(prob.numerator).max() + abs(y) * np.abs(prob.denominator).max()
         res = quad_binary_max(shifted, initial=delta, exact_cap=exact_cap,
                               scale=float(scale))
-        exact = exact and res.exact
         delta = res.delta
         y_new = prob.ratio(delta)
         trace.append(y_new)
@@ -247,8 +295,7 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
             break
         y = y_new
     return DinkelbachResult(delta=delta, ratio=y, y_trace=np.asarray(trace),
-                            converged=converged, exact=exact,
-                            iterations=iterations)
+                            converged=converged, iterations=iterations)
 
 
 @dataclass

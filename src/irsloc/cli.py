@@ -141,7 +141,7 @@ def cmd_bqp_solve(args) -> int:
     payload = {
         "n": n, "seed": cfg["seed"], "delta": res.delta.tolist(),
         "ratio": res.ratio, "y_trace": res.y_trace.tolist(),
-        "converged": res.converged, "exact": res.exact,
+        "converged": res.converged,
         "iterations": res.iterations,
     }
     if n <= 12:

@@ -172,7 +172,6 @@ class JointMlFit:
     delta: np.ndarray
     residual: float
     ratio: float
-    exact: bool
 
 
 def joint_ml(y: np.ndarray, phi: np.ndarray,
@@ -191,7 +190,7 @@ def joint_ml(y: np.ndarray, phi: np.ndarray,
     gamma = estimate_gamma(phi, res.delta, y)
     residual = float(np.linalg.norm(y - gamma * (phi @ res.delta)) ** 2)
     return JointMlFit(gamma=gamma, delta=res.delta, residual=residual,
-                      ratio=res.ratio, exact=res.exact)
+                      ratio=res.ratio)
 
 
 def bayes_update(probs: np.ndarray, residuals: np.ndarray,
@@ -255,7 +254,6 @@ class CycleDiagnostics:
     gammas: np.ndarray = None
     alphas: np.ndarray = None
     alpha_ok: np.ndarray = None
-    exact: bool = True
 
 
 def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
@@ -278,7 +276,6 @@ def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
     deltas = np.empty_like(belief.deltas)
     alphas = np.empty(n_hyp, dtype=complex)
     alpha_ok = np.empty(n_hyp, dtype=bool)
-    exact = True
     for j in range(n_hyp):
         phi = hypothesis_design(g_hat, theta, grid.steering[:, j], snapshots)
         try:
@@ -290,7 +287,6 @@ def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
         residuals[j] = fit.residual
         gammas[j] = fit.gamma
         deltas[j] = fit.delta
-        exact = exact and fit.exact
         alphas[j], alpha_ok[j] = estimate_alpha(
             fit.gamma, theta, fit.delta, g_hat, x, grid.steering[:, j],
             previous=belief.alphas[j])
@@ -304,7 +300,7 @@ def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
     new_belief.validate()
     diag = CycleDiagnostics(io=CycleIO(x=x, theta=theta, y=y, snapshots=snapshots),
                             residuals=residuals, gammas=gammas, alphas=alphas,
-                            alpha_ok=alpha_ok, exact=exact)
+                            alpha_ok=alpha_ok)
     return new_belief, diag
 
 

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from irsloc import bqp
+from irsloc import bqp, harness
 from irsloc.bqp import (DegenerateRatioError, RatioProblem, SizeCapError,
                         brute_force_max, dinkelbach_solve, linearize,
                         quad_binary_max, quad_form_value, sign_vectors,
@@ -29,7 +31,6 @@ def random_ratio_problem(rng, n):
 def test_diagonal_matrix_all_ones_optimal():
     r = np.diag([3.0, -1.0, 2.0]).astype(complex)
     res = quad_binary_max(r)
-    assert res.exact
     assert res.value == pytest.approx(4.0)
     assert np.array_equal(res.delta, np.ones(3))  # tie broken to all-ones
 
@@ -65,14 +66,12 @@ def test_table_enumeration_matches_brute_force():
         r = random_hermitian(rng, n)
         d_br, v_br = brute_force_max(r)
         res = quad_binary_max(r)
-        assert res.exact
         assert res.value == v_br
         assert np.array_equal(res.delta, d_br)
     for _ in range(30):
         r = random_hermitian(rng, 10)
         d_br, v_br = brute_force_max(r)
         res = quad_binary_max(r)
-        assert res.exact
         assert res.value == v_br  # canonical evaluation, exact float equality
         assert np.array_equal(res.delta, d_br)
 
@@ -138,9 +137,9 @@ def test_warm_start_kept_among_tied_maximizers():
         assert res.value == value
 
 
-def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
-    # the inner problems num - y den of one joint_ml fit at echo scale, at
-    # desk (N = 10) and paper (N = 20) scale
+def record_shifted(monkeypatch) -> list:
+    """Collects every matrix passed to ``bqp.quad_binary_max`` from here on:
+    the inner problems num - y den of the Dinkelbach fits."""
     shifted = []
     solve = bqp.quad_binary_max
 
@@ -149,6 +148,13 @@ def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
         return solve(r, **kw)
 
     monkeypatch.setattr(bqp, "quad_binary_max", record)
+    return shifted
+
+
+def echo_shifted_matrices(monkeypatch) -> list:
+    """The inner problems of one joint_ml fit at echo scale, with the true
+    channel and steering, at desk (N = 10) and paper (N = 20) scale."""
+    shifted = record_shifted(monkeypatch)
     for n_y in (2, 4):
         cfg = SceneConfig(m_antennas=4, n_x=5, n_y=n_y, sigma2_dbm=-120.0,
                           target_rcs_amplitude=2e-5)
@@ -160,11 +166,17 @@ def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
         y = simulate_echo(scene, x, theta, snapshots=8, seed=14)
         phi = hypothesis_design(scene.G, theta, scene.a, snapshots=8)
         joint_ml(y, phi)
+    monkeypatch.undo()
+    return shifted
+
+
+def test_shifted_matrix_of_real_fit_matches_brute_force(monkeypatch):
+    shifted = echo_shifted_matrices(monkeypatch)
     assert {len(r) for r in shifted} == {10, 20}
     for r in shifted:
         assert np.abs(r).max() < 1e-10
         d_br, v_br = brute_force_max(r)
-        res = solve(r)
+        res = quad_binary_max(r)
         assert res.value == v_br
         assert np.array_equal(res.delta, d_br)
 
@@ -188,7 +200,10 @@ def test_split_tables_cached_read_only():
     assert bqp._split_tables(9)[0] is pre
     assert np.array_equal(pre, sign_vectors(5))
     assert np.array_equal(suf, sign_vectors(5)[:, 1:])
-    for table in (pre, suf):
+    rows = bqp._suffix_rows(9)
+    assert bqp._suffix_rows(9) is rows
+    assert np.array_equal(rows, np.vstack([suf.T, np.ones((1, len(suf)))]))
+    for table in (pre, suf, rows):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = -1.0
@@ -201,6 +216,112 @@ def test_split_tables_cached_read_only():
         assert res.value == v_br
         assert np.array_equal(res.delta, d_br)
     assert np.array_equal(pre, sign_vectors(5))
+
+
+def block_oracle_hits(s: np.ndarray) -> np.ndarray:
+    """The full-table block loop the bound-ordered visit replaced, kept as
+    the reference for it: every block of the table is computed, in
+    canonical order, and the canonical indices of the entries within the
+    band of the final maximum are returned in canonical order."""
+    n = s.shape[0]
+    k = n - n // 2
+    pre, suf = bqp._split_tables(n)
+    n_suf = len(suf)
+    lhs = np.empty((len(pre), n // 2 + 2))
+    np.matmul(pre, 2.0 * s[:k, k:], out=lhs[:, :-2])
+    lhs[:, -2] = (pre @ s[:k, :k] * pre).sum(axis=1)
+    lhs[:, -1] = 1.0
+    rhs = np.empty((n // 2 + 2, n_suf))
+    rhs[:-2] = suf.T
+    rhs[-2] = 1.0
+    rhs[-1] = (suf @ s[k:, k:] * suf).sum(axis=1)
+    band = 1e-9 * float(np.abs(s).sum())
+    rows = max(1, 2 ** 15 // n_suf)
+    buf = np.empty((min(rows, len(pre)), n_suf))
+    top, hits, hit_values = -np.inf, [], []
+    for start in range(0, len(pre), rows):
+        block = buf[:min(rows, len(pre) - start)]
+        np.matmul(lhs[start:start + rows], rhs, out=block)
+        block_top = float(block.max())
+        top = max(top, block_top)
+        if block_top < top - band:
+            continue
+        flat = block.ravel()
+        keep = np.flatnonzero(flat >= top - band)
+        hits.append(keep + start * n_suf)
+        hit_values.append(flat[keep])
+    return np.concatenate(hits)[np.concatenate(hit_values) >= top - band]
+
+
+def assert_same_candidates(r):
+    s = (np.real(r) + np.real(r).T) / 2.0
+    n = len(s)
+    expected = block_oracle_hits(s)
+    assert np.array_equal(bqp._table_hits(s)[0], expected)
+    # the vectors behind the indices (all 2^(n-1) of them for a zero
+    # matrix, so only the first few are built)
+    got = itertools.islice(bqp._near_max_vectors(s), 64)
+    for i, delta in itertools.zip_longest(expected[:64], got):
+        bits = [i >> (n - 2 - j) & 1 for j in range(n - 1)]
+        assert delta.tolist() == [1.0] + [1.0 - 2.0 * b for b in bits]
+
+
+def test_bound_ordered_visit_matches_block_oracle(monkeypatch):
+    # the same candidates in the same order, so the same rescoring; from
+    # N = 17 on the table spans several blocks and the bound path runs
+    rng = np.random.default_rng(50)
+    for n in range(1, 23):
+        for k in (-14, -7, 0, 7, 14):
+            assert_same_candidates(random_hermitian(rng, n, scale=10.0 ** k))
+        for _ in range(2):
+            t = rng.integers(-1, 2, (n, n)).astype(float)
+            assert_same_candidates(np.triu(t) + np.triu(t, 1).T)
+        assert_same_candidates(np.zeros((n, n)))
+    shifted = [r for r in echo_shifted_matrices(monkeypatch) if len(r) == 20]
+    assert shifted
+    for r in shifted:
+        assert_same_candidates(r)
+
+
+def paper_campaign_shifted(monkeypatch, point, trials, cycles) -> list:
+    """The inner problems of every fit of a campaign in the scene of
+    configs/fig10 (N = 20, master seed 110)."""
+    shifted = record_shifted(monkeypatch)
+    harness.run_localization_campaign(harness.spec_from_dict({
+        "scene": {"m_antennas": 4, "n_x": 5, "n_y": 4, "sigma2_dbm": -120.0,
+                  "target_rcs_amplitude": 2e-5},
+        "pilot": {"m_t": 1, "snr_db": 40.0},
+        "localization": {"n_grids": 4, "theta_lo_deg": 52.5,
+                         "theta_hi_deg": 72.5, "snapshots": 8,
+                         "power_budget": 50.0, "threshold": 0.95,
+                         "max_cycles": cycles},
+        "points": [point], "trials": trials, "master_seed": 110}))
+    monkeypatch.undo()
+    assert {len(r) for r in shifted} == {20}
+    return shifted
+
+
+def test_bound_ordered_visit_matches_block_oracle_after_design(monkeypatch):
+    # after an optimized design the bound is loose and keeps most prefixes
+    shifted = paper_campaign_shifted(
+        monkeypatch, {"arm": "optimized", "m_antennas": 4, "n_y": 4},
+        trials=2, cycles=4)
+    for r in shifted:
+        assert_same_candidates(r)
+
+
+def test_bound_prunes_paper_scale_random_fits(monkeypatch):
+    # first cycle of the fig10 random arm: the bound leaves almost every
+    # prefix of the 512 unvisited, so a weaker bound fails here
+    shifted = paper_campaign_shifted(
+        monkeypatch, {"arm": "random", "m_antennas": 4, "n_y": 4},
+        trials=1, cycles=1)
+    assert len(shifted) >= 4
+    for r in shifted:
+        s = (np.real(r) + np.real(r).T) / 2.0
+        hits, visited = bqp._table_hits(s)
+        assert len(hits) >= 1
+        assert visited <= 0.02 * 512
 
 
 def test_canonical_first_coordinate_positive():
@@ -249,7 +370,7 @@ def test_dinkelbach_matches_exhaustive_ratio():
     for _ in range(20):
         prob = random_ratio_problem(rng, 9)
         res = dinkelbach_solve(prob)
-        assert res.converged and res.exact
+        assert res.converged
         # exhaustive oracle over all sign vectors with first entry +1
         best = -np.inf
         for bits in range(2 ** 8):
@@ -292,7 +413,7 @@ def test_cancelling_shifted_matrix_accepted():
             xi = 1e-13 * (b @ b.conj().T)
             res = dinkelbach_solve(RatioProblem(numerator=3.7 * xi,
                                                 denominator=xi))
-            assert res.converged and res.exact
+            assert res.converged
             assert res.ratio == pytest.approx(3.7, rel=1e-12)
 
 
@@ -310,6 +431,29 @@ def test_ratio_problem_validation():
     prob = RatioProblem(numerator=np.eye(2), denominator=np.zeros((2, 2)))
     with pytest.raises(DegenerateRatioError):
         prob.ratio(np.ones(2))
+
+
+def test_ratio_problem_psd_knife_edge():
+    # PSD to 1e-9 of the largest entry: lambda_min = -tau / 2 passes and
+    # -2 tau fails, whatever the scale and the eigenbasis
+    rng = np.random.default_rng(51)
+    u, _ = np.linalg.qr(crandn(rng, 4, 4))
+    base = u @ np.diag([1.0, 0.6, 0.2, 0.0]) @ u.conj().T
+    tau = 1e-9 * float(np.abs(base).max())
+    for scale in (1.0, 1e-13):
+        for factor, accepted in ((0.5, True), (2.0, False)):
+            lam = np.array([1.0, 0.6, 0.2, -factor * tau])
+            mat = scale * (u @ np.diag(lam) @ u.conj().T)
+            mat = (mat + mat.conj().T) / 2.0
+            eig_accepts = (np.linalg.eigvalsh(mat).min()
+                           >= -1e-9 * float(np.abs(mat).max()))
+            assert eig_accepts == accepted
+            for pair in ((mat, scale * np.eye(4)), (scale * np.eye(4), mat)):
+                if accepted:
+                    RatioProblem(numerator=pair[0], denominator=pair[1])
+                else:
+                    with pytest.raises(ValueError):
+                        RatioProblem(numerator=pair[0], denominator=pair[1])
 
 
 # ------------------------------------------------------------------- ilp

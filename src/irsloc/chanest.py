@@ -8,15 +8,28 @@ factor.  This module recovers that sign-ambiguous estimate in three steps:
 2. ``initialize`` turns the averaged products into a first channel guess
    through square-root / geometric-mean identities row by row;
 3. ``refine`` runs cyclic coordinate descent on the weighted least-squares
-   ML objective, updating one complex entry at a time in closed form.  The
-   weight is the Gram matrix of the shared design matrix, and every row
-   block of that matrix is (dtheta_l kron x_l) kron I_{M-M_t}, so
-   Phi^H Phi = K kron I_{M-M_t} with K the Gram matrix of the N M_t-dim
-   pattern rows.  An update of g[n, a] changes only the residuals of IRS
-   row n, which couple to the rest through the rows of K of IRS element n,
-   so the sweep runs row by row: one product gives the row's gradient, and
-   each entry step reads and updates it through the M_t x M_t in-row
-   block of K.
+   ML objective, updating one complex entry at a time in closed form.
+
+The weight is the Gram matrix of the shared design matrix.  Every row block
+of that matrix is (dtheta_l kron x_l) kron I_{M-M_t}, and with full patterns
+(n_diffs a multiple of M_t) each IRS pattern is held while the pilot cycles
+through an orthogonal set, so Phi^H Phi = Kp kron I_{M_t} kron I_{M-M_t}
+with Kp the N x N Gram matrix of the IRS patterns.  The objective is then a
+sum over support triples tau = (p, t, r) of e_tau^H Kp e_tau, where the
+N-vector e_tau = omega_tau - pi_q holds the residuals of one product
+column and pi_q[n] = g[n, i] g[n, j] depends on the triple only through its
+antenna pair q = {i, j}.  Each pair has the same number w of triples
+(2 C(M-2, M_t-1)), and expanding the square around their mean hbar_q gives
+
+    J(g) = J0 + w sum_q (hbar_q - pi_q)^H Kp (hbar_q - pi_q),
+
+exactly, with J0 the objective at pi = hbar.  So the refinement works on the
+N x M(M-1)/2 pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j]
+alone, and its iterates are those of the full-residual sweep up to rounding.
+An update of g[n, a] changes only row n of R; per IRS row one product
+G = Kp[n] @ R gives the pair gradient, and each entry step reads and updates
+it in O(M) plain-complex work.  ``refine`` raises ValueError when the weight
+does not have that form (a partly used last pattern).
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -27,8 +40,6 @@ so the 2^N minimization collapses to N independent choices).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import add, mul
 
 import numpy as np
 
@@ -49,28 +60,32 @@ def pairwise_products(obs: ObservationSet) -> np.ndarray:
     Returns an (N, M, M) array, symmetric in the last two axes, with the
     (unobservable) diagonal left as NaN.
     """
-    sched = obs.schedule
+    return _average_products(obs.schedule, ls_estimates(obs))[0]
+
+
+def _average_products(sched, omega: np.ndarray):
+    """``pairwise_products`` of the LS estimates ``omega`` (P x dim), and
+    the (M, M) count of estimates averaged into each product."""
     n, m, m_t = sched.n_elements, sched.m_antennas, sched.m_t
     n_rx = sched.n_rx
-    omega = ls_estimates(obs)
 
     sums = np.zeros((n, m, m), dtype=complex)
-    counts = np.zeros((n, m, m), dtype=int)
+    counts = np.zeros((m, m), dtype=int)
     for p, (a_set, b_set) in enumerate(sched.subframes):
         block = omega[p].reshape(n, m_t, n_rx)
         ai = np.asarray(a_set)[:, None]
         bj = np.asarray(b_set)[None, :]
         np.add.at(sums, (slice(None), ai, bj), block)
-        np.add.at(counts, (slice(None), ai, bj), 1)
+        np.add.at(counts, (ai, bj), 1)
 
     sums = sums + np.swapaxes(sums, 1, 2)
-    counts = counts + np.swapaxes(counts, 1, 2)
+    counts = counts + counts.T
     off_diag = ~np.eye(m, dtype=bool)
-    if np.any(counts[:, off_diag] == 0):
+    if np.any(counts[off_diag] == 0):
         raise CoverageError("schedule does not cover every antenna pair")
     h_bar = np.full((n, m, m), np.nan, dtype=complex)
-    h_bar[:, off_diag] = sums[:, off_diag] / counts[:, off_diag]
-    return h_bar
+    h_bar[:, off_diag] = sums[:, off_diag] / counts[off_diag]
+    return h_bar, counts
 
 
 def _row_anchor_estimate(h_row: np.ndarray, anchor: int, floor: float):
@@ -158,162 +173,115 @@ class ChannelEstimate:
     ne_trace: np.ndarray = field(repr=False, default=None)
 
 
-def _pattern_gram(gram: np.ndarray, n_patterns: int, n_rx: int) -> np.ndarray:
-    """The pattern Gram matrix K of a weight ``gram`` = K kron I_{n_rx}.
+def _pattern_gram(gram: np.ndarray, n_elements: int, block: int) -> np.ndarray:
+    """The N x N pattern Gram matrix Kp of a weight ``gram`` = Kp kron I_block.
 
-    K is the r = 0 slice of ``gram`` viewed as (n_patterns, n_rx,
-    n_patterns, n_rx); raises ValueError when ``gram`` is not K kron I to
-    1e-12 relative.
+    Kp is the (0, 0) slice of ``gram`` viewed as (N, block, N, block);
+    raises ValueError when ``gram`` is not Kp kron I to 1e-12 relative.
     """
     k = np.ascontiguousarray(
-        gram.reshape(n_patterns, n_rx, n_patterns, n_rx)[:, 0, :, 0])
-    misfit = np.abs(gram - np.kron(k, np.eye(n_rx))).max()
+        gram.reshape(n_elements, block, n_elements, block)[:, 0, :, 0])
+    misfit = np.abs(gram - np.kron(k, np.eye(block))).max()
     if not misfit <= 1e-12 * np.abs(gram).max():
-        raise ValueError("weight is not a pattern Gram matrix kron I_{M-M_t} "
-                         f"(misfit {misfit:.3g})")
+        raise ValueError("weight is not an IRS pattern Gram matrix kron "
+                         f"I_(M_t (M - M_t)) (misfit {misfit:.3g}); a partly "
+                         "used last pattern (n_diffs not a multiple of M_t) "
+                         "does this")
     return k
 
 
-def _support_tables(subframes, m: int, m_t: int, n_rx: int) -> list:
-    """Per channel column a, the index lists of an entry step on g[n, a].
-
-    g[n, a] enters the residual entries (p, n, t, r) of row n through its
-    K support triples (p, t, r), each with the cofactor column c whose
-    entry multiplies it; the gradient index of (p, t, r) is
-    (p M_t + t) n_rx + r.  Triples sharing (p, r) form a group and couple
-    through the in-row pattern block Knn.  Where the transmit set of
-    subframe p holds a, at position t, every (p, t, r) is a group of one;
-    where a is receive antenna r, the M_t triples (p, t, r) are one group.
-    The groups fall into sets: per t the one-triple groups at t, and the
-    receive groups.  Within a set, each member t has one run of triples,
-    one per group.
-
-    A column's tuple holds:
-
-    * ``cols``, ``at``: the K cofactor columns and gradient indices, run
-      by run;
-    * ``chunks``: per set and per t_u, the terms (t_u M_t + t, start, stop)
-      of the entries d[u] = sum_t Knn[t_u, t] cof(run t) of the set's
-      groups, the Knn-coupled cofactors that give the curvature and the
-      gradient update;
-    * ``u_grad``: the gradient index of each entry of d, chunk by chunk;
-    * ``u_at``: the position in d of each triple's own (group, t).
-    """
-    tables = []
-    for a in range(m):
-        # each set: the base gradient index (p M_t n_rx + r) of its groups,
-        # and per member t the cofactor column of each group
-        tx_sets = [([], []) for _ in range(m_t)]
-        rx_bases, rx_cols = [], [[] for _ in range(m_t)]
-        for p, (a_set, b_set) in enumerate(subframes):
-            base = p * m_t * n_rx
-            if a in a_set:
-                bases, cofs = tx_sets[a_set.index(a)]
-                bases.extend(base + r for r in range(n_rx))
-                cofs.extend(b_set)
-            else:
-                rx_bases.append(base + b_set.index(a))
-                for t, c in enumerate(a_set):
-                    rx_cols[t].append(c)
-        sets = [(bases, {t: cofs}) for t, (bases, cofs) in enumerate(tx_sets) if bases]
-        sets.append((rx_bases, dict(enumerate(rx_cols))))
-
-        cols, at, chunks, u_grad, u_at = [], [], [], [], []
-        for bases, members in sets:
-            spans = {}
-            for t, run in members.items():
-                spans[t] = (len(cols), len(cols) + len(run))
-                cols.extend(run)
-                at.extend(base + t * n_rx for base in bases)
-            for t_u in range(m_t):
-                if t_u in members:
-                    u_at.extend(range(len(u_grad), len(u_grad) + len(bases)))
-                chunks.append([(t_u * m_t + t, lo, hi) for t, (lo, hi) in spans.items()])
-                u_grad.extend(base + t_u * n_rx for base in bases)
-        tables.append((cols, at, chunks, u_grad, u_at))
-    return tables
-
-
 class _MLObjective:
-    """Weighted LS objective over all subframes, swept row by row.
+    """Weighted LS objective over all subframes, swept row by row on pairs.
 
     The weight is the common Gram matrix Phi^H Phi (proportional to the
     inverse LS covariance); with sigma2 > 0 the reported objective carries
     the physical 1/(2 sigma^2) scale, otherwise the unnormalized value
-    (the minimizer is scale invariant).  Every row block of Phi is
-    (dtheta_l kron x_l) kron I_{M-M_t}, so Phi^H Phi = K kron I_{M-M_t}
-    with K the (N M_t) x (N M_t) Gram matrix of the pattern rows, and the
-    objective is sum_p sum_r e_p[:, r]^H K e_p[:, r] over the residuals
-    viewed as (P, N M_t, M - M_t).
+    (the minimizer is scale invariant).  With Phi^H Phi = Kp kron I (see
+    the module docstring) the objective is J0 + w sum_q R_q^H Kp R_q over
+    the pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j], one
+    column per antenna pair q = (i < j), where w is the physical scale
+    times the number of support triples of a pair and J0 the objective at
+    products = hbar.
     """
 
     def __init__(self, obs: ObservationSet, g: np.ndarray):
         sched = obs.schedule
         self.n, self.m = sched.n_elements, sched.m_antennas
-        self.m_t, self.n_rx = sched.m_t, sched.n_rx
-        self.k = _pattern_gram(obs.gram, self.n * self.m_t, self.n_rx)
-        self.scale = 1.0 / (2.0 * obs.sigma2) if obs.sigma2 > 0 else 1.0
-        self.subframes = sched.subframes
+        m_t, n_rx = sched.m_t, sched.n_rx
+        self.kp = _pattern_gram(obs.gram, self.n, m_t * n_rx)
         self.g = g
-        n_sub = len(self.subframes)
-        self.a_cols = np.array([a_set for a_set, _ in self.subframes])
-        self.b_cols = np.array([b_set for _, b_set in self.subframes])
-        self.omega_hat = ls_estimates(obs).reshape(n_sub, self.n, self.m_t, self.n_rx)
-        self.tables = _support_tables(self.subframes, self.m, self.m_t, self.n_rx)
 
-        self.residuals = np.empty((n_sub, self.n * self.m_t * self.n_rx), dtype=complex)
+        self.pairs = [(i, j) for i in range(self.m) for j in range(i + 1, self.m)]
+        pair_of = {pair: q for q, pair in enumerate(self.pairs)}
+        # per column a, each cofactor column c with the pair index of {a, c}
+        self.tables = [[(c, pair_of[min(a, c), max(a, c)])
+                        for c in range(self.m) if c != a]
+                       for a in range(self.m)]
+        pi, pj = (np.array(ix) for ix in zip(*self.pairs))
+
+        omega = ls_estimates(obs)
+        h_bar, counts = _average_products(sched, omega)
+        counts = counts[pi, pj]
+        if np.any(counts != counts[0]):
+            raise ValueError("refinement needs every antenna pair observed "
+                             f"equally often, got counts {counts.tolist()}")
+        self.h_rows = h_bar[:, pi, pj].tolist()
+        a_cols = np.array([a_set for a_set, _ in sched.subframes])
+        b_cols = np.array([b_set for _, b_set in sched.subframes])
+        # the residuals at products = hbar, one column per support triple
+        e0 = (omega.reshape(len(a_cols), self.n, m_t, n_rx).transpose(1, 0, 2, 3)
+              - h_bar[:, a_cols[:, :, None], b_cols[:, None, :]]).reshape(self.n, -1)
+        scale = 1.0 / (2.0 * obs.sigma2) if obs.sigma2 > 0 else 1.0
+        self.j0 = scale * float(np.vdot(e0, self.kp @ e0).real)
+        self.weight = scale * int(counts[0])
+
+        self.residuals = np.empty((self.n, len(self.pairs)), dtype=complex)
         for row in range(self.n):
             self.refresh_row(row)
 
     def refresh_row(self, row: int):
-        """Residuals of channel row ``row`` recomputed from g."""
-        g = self.g[row]
-        prod = g[self.a_cols][:, :, None] * g[self.b_cols][:, None, :]
-        self.residuals.reshape(self.omega_hat.shape)[:, row] = \
-            self.omega_hat[:, row] - prod
+        """Pair residuals of channel row ``row`` recomputed from g."""
+        g = self.g[row].tolist()
+        self.residuals[row] = [h - g[i] * g[j]
+                               for h, (i, j) in zip(self.h_rows[row], self.pairs)]
 
     def value(self) -> float:
-        e = self.residuals.reshape(len(self.subframes), self.n * self.m_t, self.n_rx)
-        return self.scale * float(np.vdot(e, self.k @ e).real)
+        r = self.residuals
+        return self.j0 + self.weight * float(np.vdot(r, self.kp @ r).real)
 
     def sweep(self, on_update=None):
         """Exact minimization over every entry of g, in row-major order.
 
-        Per row, one product gives the gradient K[row block] @ e at the
+        Per row, one product gives the pair gradient G = Kp[row] @ R at the
         row's start; each entry step then reads and updates it on plain
-        Python complex numbers.  An entry with zero curvature is skipped;
-        after every other step, ``on_update(row, col, num, den)`` is called
-        with g current and the row's residuals not yet refreshed.  The row
-        ends with its residuals recomputed from g.
+        Python complex numbers, O(M) work.  An entry with zero curvature
+        is skipped; after every other step, ``on_update(row, col)`` is
+        called with g current and the row's residuals not yet refreshed.
+        The row ends with its residuals recomputed from g.
         """
-        m_t = self.m_t
-        e = self.residuals.reshape(len(self.subframes), self.n * m_t, self.n_rx)
+        knn_all = self.kp.diagonal().real.tolist()
         for n in range(self.n):
-            block = slice(n * m_t, (n + 1) * m_t)
-            grad = (self.k[block] @ e).ravel().tolist()
-            knn = self.k[block, block].ravel().tolist()
+            grad = (self.kp[n] @ self.residuals).tolist()
+            knn = knn_all[n]
             row = self.g[n].tolist()
-            for a, (cols, at, chunks, u_grad, u_at) in enumerate(self.tables):
-                cof = list(map(row.__getitem__, cols))
-                cof_conj = list(map(complex.conjugate, cof))
-                num = sum(map(mul, cof_conj, map(grad.__getitem__, at)))
-                d = []
-                for terms in chunks:
-                    part = None
-                    for i, lo, hi in terms:
-                        scaled = map(mul, repeat(knn[i]), cof[lo:hi])
-                        part = scaled if part is None else map(add, part, scaled)
-                    d.extend(part)
-                den = sum(map(mul, cof_conj, map(d.__getitem__, u_at))).real
+            for a, support in enumerate(self.tables):
+                num = 0j
+                nrm = 0.0
+                for c, q in support:
+                    x = row[c]
+                    nrm += x.real * x.real + x.imag * x.imag
+                    num += x.conjugate() * grad[q]
+                den = knn * nrm
                 if den <= 0.0:
                     continue
                 step = num / den
                 row[a] += step
                 self.g[n, a] = row[a]
-                for idx, d_u in zip(u_grad, d):
-                    grad[idx] -= step * d_u
+                k_step = knn * step
+                for c, q in support:
+                    grad[q] -= k_step * row[c]
                 if on_update is not None:
-                    on_update(n, a, num, den)
+                    on_update(n, a)
             self.refresh_row(n)
 
 
@@ -337,7 +305,7 @@ def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,
     converged = False
     sweeps = 0
 
-    def record(row, col, num, den):
+    def record(row, col):
         state.refresh_row(row)
         per_update.append(state.value())
 

@@ -151,7 +151,8 @@ def resolve_point(spec: ExperimentSpec, point: dict):
 
 
 def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
-    """Resolve every sweep point; reject up front one that fails mid-run."""
+    """Resolve every sweep point and build its pilot schedule; reject up
+    front a point that would fail mid-run."""
     resolved = []
     for point in spec.sweep_points():
         cfg, pilot_p, loc_p = resolve_point(spec, point)
@@ -162,8 +163,44 @@ def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
             raise PointRejected(f"sweep point {point}: n_elements="
                                 f"{cfg.n_elements} exceeds exact_cap "
                                 f"{loc_p.exact_cap}")
-        resolved.append((point, cfg, pilot_p, loc_p))
+        sched = _point_schedule(point, cfg, pilot_p)
+        if localization:
+            _check_distinguishable(point, cfg, loc_p)
+        resolved.append((point, cfg, pilot_p, loc_p, sched))
     return resolved
+
+
+def _point_schedule(point: dict, cfg: SceneConfig,
+                    pilot_p: PilotParams) -> pilot.PilotSchedule:
+    """The pilot schedule every trial of a sweep point shares."""
+    try:
+        sched = pilot.build_schedule(
+            cfg.m_antennas, pilot_p.m_t, cfg.n_elements,
+            n_diffs=pilot_p.n_diffs, pilot_power=pilot_power_for(cfg, pilot_p))
+    except ValueError as exc:  # IdentifiabilityError included
+        raise PointRejected(f"sweep point {point}: {exc}") from exc
+    if sched.n_diffs % sched.m_t:
+        raise PointRejected(
+            f"sweep point {point}: n_diffs={sched.n_diffs} is not a multiple "
+            f"of m_t={sched.m_t}; channel refinement needs every IRS pattern "
+            "held for all m_t pilot vectors")
+    return sched
+
+
+def _check_distinguishable(point: dict, cfg: SceneConfig,
+                           loc_p: LocalizationParams):
+    """Reject a grid with two hypotheses the echo model cannot tell apart."""
+    grid = localize.build_hypothesis_grid(
+        cfg, loc_p.n_grids, loc_p.theta_lo_deg, loc_p.theta_hi_deg,
+        loc_p.phi_deg)
+    sep = localize.hypothesis_separation(grid.steering)
+    rows, cols = np.nonzero(np.triu(sep <= 1e-9, k=1))
+    if rows.size:
+        i, j = int(rows[0]), int(cols[0])
+        raise PointRejected(
+            f"sweep point {point}: hypotheses {i} and {j} are "
+            f"indistinguishable up to gain and element signs (separation "
+            f"{sep[i, j]:.3g})")
 
 
 def point_key(point: dict) -> tuple:
@@ -195,13 +232,12 @@ class ExperimentResult:
     resolved_spec: dict = field(default_factory=dict)
 
 
-def estimate_channel_once(cfg: SceneConfig, params: PilotParams, seed_scene,
-                          seed_noise, g_true_trace: bool = False):
-    """One pilot round plus estimation; returns (scene, estimate, ne)."""
+def estimate_channel_once(cfg: SceneConfig, params: PilotParams,
+                          sched: pilot.PilotSchedule, seed_scene, seed_noise,
+                          g_true_trace: bool = False):
+    """One pilot round over ``sched`` plus estimation; returns (scene,
+    estimate, ne)."""
     scene = synthesize_scene(cfg, seed=seed_scene)
-    power = pilot_power_for(cfg, params)
-    sched = pilot.build_schedule(cfg.m_antennas, params.m_t, cfg.n_elements,
-                                 n_diffs=params.n_diffs, pilot_power=power)
     obs = pilot.simulate_pilot_round(scene, sched, seed=seed_noise)
     est = chanest.estimate_channel(
         obs, anchor=params.anchor, max_sweeps=params.max_sweeps,
@@ -214,14 +250,14 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Average normalized channel error per sweep point."""
     spec.validate()
     point_rows, trial_rows, conv_rows = [], [], []
-    for point, cfg, pilot_p, _ in _resolve_points(spec, localization=False):
+    for point, cfg, pilot_p, _, sched in _resolve_points(spec, localization=False):
         key = point_key(point)
         errors = []
         for trial in range(spec.trials):
             seed_scene = derive_seed(spec.master_seed, "scene", key, trial)
             seed_noise = derive_seed(spec.master_seed, "pilot", key, trial)
             _, est, ne = estimate_channel_once(
-                cfg, pilot_p, seed_scene, seed_noise,
+                cfg, pilot_p, sched, seed_scene, seed_noise,
                 g_true_trace=spec.record_convergence)
             errors.append(ne)
             trial_rows.append({**point, "trial": trial, "ne": ne,
@@ -248,12 +284,14 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def run_localization_trial(cfg: SceneConfig, pilot_p: PilotParams,
+                           sched: pilot.PilotSchedule,
                            loc_p: LocalizationParams,
                            opt_p: OptimizerParams, master_seed, key, trial):
     """Full pipeline for one channel realization; returns trial records."""
     seed_scene = derive_seed(master_seed, "scene", key, trial)
     seed_noise = derive_seed(master_seed, "pilot", key, trial)
-    scene, est, ne = estimate_channel_once(cfg, pilot_p, seed_scene, seed_noise)
+    scene, est, ne = estimate_channel_once(cfg, pilot_p, sched, seed_scene,
+                                           seed_noise)
     g_hat = est.g_hat
 
     grid = localize.build_hypothesis_grid(
@@ -315,14 +353,14 @@ def run_localization_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Correct-localization probability per cycle and threshold statistics."""
     spec.validate()
     point_rows, trial_rows, curve_rows, diag_rows = [], [], [], []
-    for point, cfg, pilot_p, loc_p in _resolve_points(spec, localization=True):
+    for point, cfg, pilot_p, loc_p, sched in _resolve_points(spec, localization=True):
         key = point_key(point)
         max_cycles = loc_p.max_cycles
         correct = np.zeros((spec.trials, max_cycles), dtype=bool)
         top_prob = np.zeros((spec.trials, max_cycles))
         hits, hit_cycles = [], []
         for trial in range(spec.trials):
-            rec = run_localization_trial(cfg, pilot_p, loc_p,
+            rec = run_localization_trial(cfg, pilot_p, sched, loc_p,
                                          spec.optimizer, spec.master_seed,
                                          key, trial)
             for c, cyc in enumerate(rec["cycles"]):

@@ -74,6 +74,20 @@ def build_hypothesis_grid(config: SceneConfig, n_grids: int,
                           centers_deg=centers, steering=steering)
 
 
+def hypothesis_separation(steering: np.ndarray) -> np.ndarray:
+    """I x I matrix 1 - |mean_n (a_i,n conj(a_j,n))^2| over the steering
+    columns a_i of an N x I grid.
+
+    gamma absorbs a common complex gain and delta per-element signs, so
+    hypotheses i and j give the same echo model when a_i = c (a_j o s) for
+    a complex c and a sign vector s.  For unit-modulus steering that holds
+    exactly when (a_i,n conj(a_j,n))^2 is the same for every element n,
+    where the entry is 0; it is 0 on the diagonal.
+    """
+    prod = steering[:, :, None] * steering[:, None, :].conj()
+    return 1.0 - np.abs(np.mean(prod ** 2, axis=0))
+
+
 @dataclass
 class BeliefState:
     """Posterior over hypotheses plus per-hypothesis nuisance estimates."""
@@ -161,7 +175,8 @@ def estimate_gamma(phi: np.ndarray, delta: np.ndarray, y: np.ndarray) -> complex
     """Closed-form LS-optimal echo gain: delta^H Phi^H y / ||Phi delta||^2."""
     model = phi @ delta
     den = float(np.linalg.norm(model) ** 2)
-    if den <= 1e-200 * phi.shape[0]:
+    # zero to below rounding relative to Phi's scale, whatever that scale
+    if den <= np.finfo(float).eps ** 2 * float(np.linalg.norm(phi) ** 2):
         raise DegenerateHypothesisError("hypothesis response vanished")
     return complex(model.conj() @ y / den)
 

@@ -104,7 +104,8 @@ def build_schedule(m_antennas: int, m_t: int, n_elements: int,
                    pilot_power: float = 1.0) -> PilotSchedule:
     """Enumerate all antenna splits and build the IRS / pilot sequences.
 
-    ``n_diffs`` defaults to the identifiability minimum N * M_t.
+    ``n_diffs`` defaults to the identifiability minimum N * M_t.  The
+    sequence arrays are read-only.
     """
     if not 1 <= m_t < m_antennas:
         raise ValueError(f"need 1 <= M_t < M, got M_t={m_t}, M={m_antennas}")
@@ -137,6 +138,8 @@ def build_schedule(m_antennas: int, m_t: int, n_elements: int,
     irs_base = states[:, pattern_idx].T
     pilots = pilot_set[:, pilot_idx].T
 
+    for arr in (delta_theta, irs_base, pilots):
+        arr.flags.writeable = False  # campaigns share one schedule per point
     sched = PilotSchedule(m_antennas=m_antennas, m_t=m_t,
                           n_elements=n_elements, pilot_power=pilot_power,
                           subframes=subframes, delta_theta=delta_theta,

@@ -10,7 +10,7 @@ from irsloc.chanest import (_MLObjective, estimate_channel, initialize,
 from irsloc.pilot import (build_schedule, ls_covariance, ls_estimates,
                           simulate_pilot_round)
 from irsloc.scene import SceneConfig, synthesize_scene
-from irsloc.util import derive_seed
+from irsloc.util import crandn, derive_seed
 
 
 def make_obs(m=4, n_x=3, n_y=1, m_t=1, sigma2_dbm=-np.inf, pilot_power=1.0,
@@ -184,7 +184,7 @@ def test_single_entry_update_matches_numeric_minimizer():
     state = _MLObjective(obs, g0.copy())
     seen = {}
 
-    def snapshot(r, c, num, den):
+    def snapshot(r, c):
         if (r, c) == (row, col - 1):  # the update just before entry (1, 2)
             seen["before"] = state.g.copy()
         elif (r, c) == (row, col):
@@ -221,6 +221,21 @@ def test_refine_sign_blind():
     assert ne_a == pytest.approx(ne_b, rel=1e-9)
 
 
+def subframe_residuals(obs, g):
+    """Full residuals omega_ls[p] - vec(G_A^T kr G_B^T), one row per subframe."""
+    res = np.array(obs.omega_ls)
+    for p, (a_set, b_set) in enumerate(obs.schedule.subframes):
+        prod = np.einsum("ni,nj->nij", g[:, list(a_set)], g[:, list(b_set)])
+        res[p] -= prod.reshape(-1)
+    return res
+
+
+def full_objective(obs, residuals):
+    """sum_p e_p^H W e_p, W the LS weight with the objective's scale."""
+    scale = 1.0 / (2.0 * obs.sigma2) if obs.sigma2 > 0 else 1.0
+    return scale * sum(float(np.real(e.conj() @ obs.gram @ e)) for e in residuals)
+
+
 def test_refine_objective_scale_uses_covariance():
     scene, obs = make_noisy_obs(15.0, scene_seed=4, noise_seed=9)
     g0 = initialize(pairwise_products(obs))
@@ -228,13 +243,28 @@ def test_refine_objective_scale_uses_covariance():
     # J = sum_p e^H R^{-1} e with R = 2 sigma^2 (Phi^H Phi)^{-1}
     gram = obs.phi.conj().T @ obs.phi
     r_inv = np.linalg.inv(ls_covariance(gram, obs.sigma2))
-    expected = sum(float(np.real(e.conj() @ r_inv @ e)) for e in state.residuals)
+    expected = sum(float(np.real(e.conj() @ r_inv @ e))
+                   for e in subframe_residuals(obs, g0))
     assert state.value() == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("m,m_t,n_diffs", [(4, 1, None), (5, 2, None),
+                                           (6, 2, None), (4, 3, 21)])
+def test_pair_objective_equals_full_residual_form(m, m_t, n_diffs):
+    # the pair-residual form is exact, at the truth's neighbourhood and far
+    # from it
+    obs, g0 = perturbed_round(m, m_t, n_diffs)
+    rng = np.random.default_rng(m * 10 + m_t)
+    far = np.abs(g0).mean() * crandn(rng, *g0.shape)
+    for g in (g0, far):
+        expected = full_objective(obs, subframe_residuals(obs, g))
+        assert _MLObjective(obs, g.copy()).value() \
+            == pytest.approx(expected, rel=1e-12)
+
+
 def loop_step(state, row, col):
-    """Literal per-subframe coordinate step on g[row, col]: returns its
-    numerator, curvature, step and the updated residuals (state untouched)."""
+    """Literal per-subframe coordinate step on g[row, col]: returns the
+    step and the updated residuals (state untouched)."""
     block = state.m_t * state.n_rx
     num, den, support = 0.0 + 0.0j, 0.0, []
     for p, (a_set, b_set) in enumerate(state.subframes):
@@ -254,7 +284,7 @@ def loop_step(state, row, col):
     residuals = state.residuals.copy()
     for p, (idx, cof) in enumerate(support):
         residuals[p][idx] -= step * cof
-    return num, den, step, residuals
+    return step, residuals
 
 
 class PerEntryObjective:
@@ -315,12 +345,10 @@ class PerEntryObjective:
         return num, den, step
 
 
-SHAPES = [(4, 1, None), (5, 2, None), (5, 2, 13), (4, 3, 20)]
+SHAPES = [(4, 1, None), (5, 2, None), (4, 3, 21)]
 
 
 def perturbed_round(m, m_t, n_diffs):
-    # n_diffs = 13 with M_t = 2 leaves the last pattern half used, so the
-    # Gram matrix is not a Kronecker product of pattern and pilot parts
     cfg = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-120.0)
     scene = synthesize_scene(cfg, seed=6)
     sched = build_schedule(m, m_t, cfg.n_elements, n_diffs=n_diffs,
@@ -349,35 +377,33 @@ def test_row_sweep_matches_per_entry_oracle(m, m_t, n_diffs):
             for col in range(m):
                 terms = oracle.update_entry(row, col)
                 if terms is not None:
-                    expected.append(((row, col), *terms, oracle.g.copy(),
-                                     oracle.residuals.copy()))
+                    expected.append(((row, col), terms[2], oracle.g.copy(),
+                                     full_objective(obs, oracle.residuals)))
         oracle.refresh_residuals()
         g_prev = state.g.copy()
         seen = []
 
-        def record(row, col, num, den):
+        def record(row, col):
             state.refresh_row(row)
-            seen.append(((row, col), num, den, state.g.copy(),
-                         state.residuals.copy()))
+            seen.append(((row, col), state.g.copy(), state.value()))
 
         state.sweep(record)
         assert [s[0] for s in seen] == [e[0] for e in expected]
-        for (entry, num, den, g, res), (_, o_num, o_den, o_step, o_g, o_res) \
-                in zip(seen, expected):
-            assert abs(num - o_num) <= 1e-12 * abs(o_num)
-            assert abs(den - o_den) <= 1e-12 * abs(o_den)
+        for (entry, g, j), (_, o_step, o_g, o_j) in zip(seen, expected):
             assert abs((g[entry] - g_prev[entry]) - o_step) <= 1e-12 * abs(o_step)
             assert close(g, o_g)
-            assert close(res, o_res)
+            assert j == pytest.approx(o_j, rel=1e-12)
             g_prev = g
     assert not np.any(state.g[2])
 
 
 def snapshot(state, obs):
-    """The fields ``loop_step`` reads, copied from a live state."""
-    return SimpleNamespace(m_t=state.m_t, n_rx=state.n_rx,
-                           subframes=state.subframes, weight=obs.gram,
-                           g=state.g.copy(), residuals=state.residuals.copy())
+    """The fields ``loop_step`` reads, built from a live state's g."""
+    sched = obs.schedule
+    return SimpleNamespace(m_t=sched.m_t, n_rx=sched.n_rx,
+                           subframes=sched.subframes, weight=obs.gram,
+                           g=state.g.copy(),
+                           residuals=subframe_residuals(obs, state.g))
 
 
 @pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
@@ -387,21 +413,44 @@ def test_batched_step_matches_per_subframe_loop(m, m_t, n_diffs):
     before = [snapshot(state, obs)]
     entries = []
 
-    def check(row, col, num, den):
-        l_num, l_den, step, residuals = loop_step(before[0], row, col)
+    def check(row, col):
+        step, residuals = loop_step(before[0], row, col)
         state.refresh_row(row)
-        assert abs(num - l_num) <= 1e-12 * abs(l_num)
-        assert abs(den - l_den) <= 1e-12 * abs(l_den)
         assert abs((state.g[row, col] - before[0].g[row, col]) - step) \
             <= 1e-12 * abs(step)
-        assert np.abs(state.residuals - residuals).max() \
-            <= 1e-12 * np.abs(residuals).max()
-        before[0] = snapshot(state, obs)
+        after = snapshot(state, obs)
+        assert close(after.residuals, residuals)
+        assert state.value() == pytest.approx(full_objective(obs, residuals),
+                                              rel=1e-12)
+        before[0] = after
         entries.append((row, col))
 
     state.sweep(check)
     assert entries == [(row, col) for row in range(obs.schedule.n_elements)
                        for col in range(m)]
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", [(5, 2, 13), (4, 3, 20)])
+def test_partly_used_last_pattern_rejected(m, m_t, n_diffs):
+    # n_diffs not a multiple of M_t leaves the last IRS pattern partly
+    # used, so the Gram matrix is not Kp kron I_{M_t}: the pilot layer
+    # accepts the schedule, the pair-level refinement does not
+    obs, g0 = perturbed_round(m, m_t, n_diffs)
+    assert obs.omega_ls.shape[0] == obs.schedule.n_subframes
+    with pytest.raises(ValueError, match="partly used last pattern"):
+        refine(obs, g0)
+
+
+def test_unequal_pair_counts_rejected():
+    # a hand-built schedule with three of the four splits observes pair
+    # {0, 1} twice and {2, 3} once: the pairs no longer share one weight
+    cfg = SceneConfig(m_antennas=4, n_x=3, n_y=1, sigma2_dbm=-120.0)
+    scene = synthesize_scene(cfg, seed=6)
+    sched = build_schedule(4, 1, cfg.n_elements)
+    sched.subframes = sched.subframes[:3]
+    obs = simulate_pilot_round(scene, sched, seed=4)
+    with pytest.raises(ValueError, match="equally often"):
+        refine(obs, scene.G)
 
 
 def test_record_update_objectives_keeps_trajectory():

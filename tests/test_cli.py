@@ -179,6 +179,7 @@ def _last_error(capsys):
     ("localize", {"n_x": 5, "n_y": 5}),     # N = 25 over exact_cap 24
     ("localize", {"m_antennas": 2}),
     ("chanest", {"m_antennas": 2}),
+    ("localize", {"n_x": 3, "n_y": 1}),     # every grid center steers alike
 ])
 def test_point_rejected_before_trial_zero_exits_two(tmp_path, capsys,
                                                     command, scene):
@@ -200,7 +201,9 @@ def test_value_error_inside_a_trial_stays_numerical(tmp_path, capsys,
     def degenerate(*args, **kwargs):
         raise DegenerateHypothesisError("hypotheses coincide")
     monkeypatch.setattr(harness, "run_localization_trial", degenerate)
-    cfg = write_config(tmp_path, dict(TINY_CAMPAIGN))
+    payload = json.loads(json.dumps(TINY_CAMPAIGN))
+    payload["scene"]["n_y"] = 2  # a grid the point check accepts
+    cfg = write_config(tmp_path, payload)
     code = main(["localize", "--config", str(cfg),
                  "--out", str(tmp_path / "o")])
     assert code == 1

@@ -137,19 +137,6 @@ def test_noiseless_localization_campaign():
     assert len(diag) == 2 * 3 * 3
 
 
-def test_indistinguishable_grid_keeps_uniform_posterior():
-    # at phi = 270 deg the x ramp vanishes, so with n_y = 1 every grid
-    # center has the same steering vector: the residuals tie at the
-    # rounding floor and no hypothesis may win
-    spec = localization_spec(scene=noiseless_scene(n_x=3, n_y=1))
-    result = run_localization_campaign(spec)
-    assert result.point_rows[0]["hit_fraction"] == 0.0
-    probs = {row["probability"] for row in result.tables["diagnostics"]}
-    assert probs == {1.0 / 3.0}
-    rerun = run_localization_campaign(spec)
-    assert rerun.tables["diagnostics"] == result.tables["diagnostics"]
-
-
 def test_localization_campaign_deterministic():
     res_a = run_localization_campaign(localization_spec())
     res_b = run_localization_campaign(localization_spec())
@@ -177,6 +164,60 @@ def test_localization_point_with_two_antennas_rejected_up_front(monkeypatch):
     spec = localization_spec(points=[{"m_antennas": 4}, {"m_antennas": 2}])
     with pytest.raises(ValueError, match=r"'m_antennas': 2.*m_antennas >= 3"):
         run_localization_campaign(spec)
+
+
+def test_indistinguishable_grid_rejected_up_front(monkeypatch):
+    # at phi = 270 deg the x ramp vanishes, so with n_y = 1 every grid
+    # center has the same steering vector and no hypothesis could win
+    _no_trials(monkeypatch)
+    spec = localization_spec(points=[{"n_y": 2}, {"n_y": 1}])
+    with pytest.raises(harness.PointRejected,
+                       match=r"'n_y': 1.*hypotheses 0 and 1 are indistinguishable"):
+        run_localization_campaign(spec)
+
+
+@pytest.mark.parametrize("pilot_point, match", [
+    ({"n_diffs": 2}, r"C=2 < N\*M_t="),
+    ({"m_t": 2, "n_diffs": 13}, r"n_diffs=13 is not a multiple of m_t=2"),
+    ({"pilot_power": None}, r"need either pilot_power or snr_db"),
+], ids=["too_few_diffs", "partial_pattern", "no_pilot_power"])
+def test_schedule_errors_rejected_up_front(monkeypatch, pilot_point, match):
+    # the second point would raise inside its first trial
+    _no_trials(monkeypatch)
+    pilot_p = PilotParams(snr_db=None, pilot_power=1.0)
+    for run, spec_of in ((run_chanest_campaign, chanest_spec),
+                         (run_localization_campaign, localization_spec)):
+        spec = spec_of(pilot=pilot_p, points=[{"m_t": 1}, pilot_point])
+        with pytest.raises(harness.PointRejected, match=match):
+            run(spec)
+
+
+def test_schedule_built_once_per_point_and_read_only(monkeypatch):
+    built = []
+    original = harness.pilot.build_schedule
+
+    def counting(*args, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(harness.pilot, "build_schedule", counting)
+    used = []
+    original_round = harness.pilot.simulate_pilot_round
+
+    def keep(scene, sched, seed=None):
+        used.append(sched)
+        return original_round(scene, sched, seed=seed)
+    monkeypatch.setattr(harness.pilot, "simulate_pilot_round", keep)
+    result = run_chanest_campaign(chanest_spec(sweep={"m_antennas": [4, 5]},
+                                               trials=3))
+    assert len(built) == 2 and len(used) == 6
+    assert all(sched is built[0] for sched in used[:3])
+    assert all(sched is built[1] for sched in used[3:])
+    for sched in built:
+        for arr in (sched.delta_theta, sched.irs_base, sched.pilots):
+            assert not arr.flags.writeable
+    rows = run_chanest_campaign(chanest_spec(sweep={"m_antennas": [4, 5]},
+                                             trials=3)).trial_rows
+    assert rows == result.trial_rows
 
 
 def test_chanest_point_with_two_antennas_rejected_up_front(monkeypatch):

@@ -116,6 +116,20 @@ def test_gamma_degenerate_model():
         estimate_gamma(np.zeros((4, 2)), np.ones(2), np.ones(4))
 
 
+def test_gamma_floor_is_scale_free():
+    # a response of energy 1e-240 is tiny, not vanished: the fit at that
+    # scale is the unit-scale fit, its gain rescaled
+    rng = np.random.default_rng(5)
+    phi = crandn(rng, 12, 6)
+    y = crandn(rng, 12)
+    fit = joint_ml(y, phi)
+    tiny = joint_ml(y, 1e-120 * phi)
+    assert np.array_equal(tiny.delta, fit.delta)
+    assert tiny.gamma == pytest.approx(fit.gamma * 1e120, rel=1e-12)
+    assert estimate_gamma(1e-120 * phi, fit.delta, 1e-120 * y) \
+        == pytest.approx(fit.gamma, rel=1e-12)
+
+
 # -------------------------------------------------------------- joint ML
 
 def test_joint_ml_noiseless_exact_recovery():

@@ -7,8 +7,7 @@ from scipy.optimize import minimize
 
 from irsloc.chanest import (_MLObjective, estimate_channel, initialize,
                             normalized_error, pairwise_products, refine)
-from irsloc.pilot import (build_schedule, ls_covariance, ls_estimates,
-                          simulate_pilot_round)
+from irsloc.pilot import build_schedule, ls_covariance, simulate_pilot_round
 from irsloc.scene import SceneConfig, synthesize_scene
 from irsloc.util import crandn, derive_seed
 
@@ -297,7 +296,7 @@ class PerEntryObjective:
         self.n, self.m = sched.n_elements, sched.m_antennas
         self.m_t, self.n_rx = sched.m_t, sched.n_rx
         self.weight = obs.gram
-        self.omega_hat = ls_estimates(obs)
+        self.obs = obs
         self.subframes = sched.subframes
         self.g = g
         self.block = self.m_t * self.n_rx
@@ -317,13 +316,10 @@ class PerEntryObjective:
             tables.append((sub, off, cof))
         self.sub, self.off, self.cof = (np.array(t) for t in zip(*tables))
         self.mask = self.sub[:, :, None] == self.sub[:, None, :]
-        self.residuals = np.empty_like(self.omega_hat)
         self.refresh_residuals()
 
     def refresh_residuals(self):
-        for p, (a_set, b_set) in enumerate(self.subframes):
-            prod = np.einsum("ni,nj->nij", self.g[:, list(a_set)], self.g[:, list(b_set)])
-            self.residuals[p] = self.omega_hat[p] - prod.reshape(-1)
+        self.residuals = subframe_residuals(self.obs, self.g)
 
     def step_terms(self, row, col):
         sub = self.sub[col]

@@ -342,6 +342,8 @@ class PerEntryObjective:
 
 
 SHAPES = [(4, 1, None), (5, 2, None), (4, 3, 21)]
+# n_diffs = 13 with M_t = 2 leaves the last IRS pattern half used
+PARTLY_USED = (5, 2, 13)
 
 
 def perturbed_round(m, m_t, n_diffs):
@@ -360,9 +362,24 @@ def close(a, b, rtol=1e-12):
     return np.abs(np.asarray(a) - b).max() <= rtol * np.abs(b).max()
 
 
-@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
+def refused_as_partly_used(obs, g0, m_t, n_diffs):
+    """True when the round leaves its last IRS pattern partly used.
+
+    The Gram matrix is then not Kp kron I, and the sweep state must
+    refuse the round; that is checked here.
+    """
+    if n_diffs is None or n_diffs % m_t == 0:
+        return False
+    with pytest.raises(ValueError, match="partly used last pattern"):
+        _MLObjective(obs, g0.copy())
+    return True
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES + [PARTLY_USED])
 def test_row_sweep_matches_per_entry_oracle(m, m_t, n_diffs):
     obs, g0 = perturbed_round(m, m_t, n_diffs)
+    if refused_as_partly_used(obs, g0, m_t, n_diffs):
+        return
     g0[2] = 0.0       # every entry of row 2 has zero curvature
     g0[4, 1:] = 0.0   # of row 4 only (4, 0), in the first sweep
     oracle = PerEntryObjective(obs, g0.copy())
@@ -402,9 +419,11 @@ def snapshot(state, obs):
                            residuals=subframe_residuals(obs, state.g))
 
 
-@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
+@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES + [PARTLY_USED])
 def test_batched_step_matches_per_subframe_loop(m, m_t, n_diffs):
     obs, g0 = perturbed_round(m, m_t, n_diffs)
+    if refused_as_partly_used(obs, g0, m_t, n_diffs):
+        return
     state = _MLObjective(obs, g0.copy())
     before = [snapshot(state, obs)]
     entries = []

@@ -31,8 +31,8 @@ print(f"schedule: {schedule.n_subframes} subframes "
       f"(all Tx/Rx splits), {schedule.n_diffs} differences each")
 
 obs = pilot.simulate_pilot_round(scene, schedule, seed=7)
-print(f"design matrix {obs.phi.shape}, condition number "
-      f"{obs.condition_number:.1f}")
+print(f"pattern matrix {schedule.pattern.shape} (design = pattern kron "
+      f"I_{schedule.n_rx}), condition number {schedule.condition_number:.1f}")
 
 # averaged pairwise products feed the row-wise initialization
 h_bar = chanest.pairwise_products(obs)

@@ -40,9 +40,11 @@ import numpy as np
 
 from .util import is_hermitian
 
+EXACT_CAP = 24  # largest N solved exactly, over 2^(N-1) sign vectors
+
 
 class SizeCapError(ValueError):
-    """Problem exceeds the configured exact-solve size cap."""
+    """Problem exceeds the exact-solve size cap."""
 
 
 class DegenerateRatioError(ValueError):
@@ -86,7 +88,7 @@ class BqpResult:
 def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only prefix and suffix sign tables for length n: the rows of
     ``sign_vectors(n - n // 2)`` and the last n // 2 columns of
-    ``sign_vectors(n // 2 + 1)``, at most 2^12 x 12 at the default cap.
+    ``sign_vectors(n // 2 + 1)``, at most 2^12 x 12 at ``EXACT_CAP``.
     The full ``sign_vectors(n)`` table (1.6 GB at n = 24) is never cached."""
     pre = sign_vectors(n - n // 2)
     suf = sign_vectors(n // 2 + 1)[:, 1:]
@@ -98,7 +100,7 @@ def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _suffix_rows(n: int) -> np.ndarray:
     """Read-only constant rows [suf^T; 1] of the table product's right
-    factor for length n, row-major (at most 13 x 4096 at the default cap)."""
+    factor for length n, row-major (at most 13 x 4096 at ``EXACT_CAP``)."""
     suf = _split_tables(n)[1]
     rows = np.vstack([suf.T, np.ones((1, len(suf)))])
     rows.flags.writeable = False
@@ -182,7 +184,6 @@ def _near_max_vectors(s: np.ndarray):
 
 
 def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
-                    exact_cap: int = 24,
                     scale: float | None = None) -> BqpResult:
     """Global maximizer of delta^H R delta over {-1,+1}^N.
 
@@ -190,7 +191,7 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
     Starting from all-ones, then ``initial`` (warm start), each table
     entry near the maximum replaces the incumbent, in enumeration order,
     only if strictly better by :func:`quad_form_value`.  Sizes above
-    ``exact_cap`` raise :class:`SizeCapError`.
+    ``EXACT_CAP`` raise :class:`SizeCapError`.
     ``r`` must be Hermitian relative to ``scale`` (default: max |r_ij|).
     """
     r = np.asarray(r)
@@ -206,8 +207,8 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
         d = np.asarray(initial, dtype=float)
         candidates.append(d if d[0] > 0 else -d)
 
-    if n > exact_cap:
-        raise SizeCapError(f"N={n} exceeds exact-solve cap {exact_cap}")
+    if n > EXACT_CAP:
+        raise SizeCapError(f"N={n} exceeds exact-solve cap {EXACT_CAP}")
 
     best_delta, best_value = None, -np.inf
     for cand in chain(candidates, _near_max_vectors(s)):
@@ -266,8 +267,7 @@ class DinkelbachResult:
 
 
 def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
-                     tol: float = 1e-9, max_iters: int = 50,
-                     exact_cap: int = 24) -> DinkelbachResult:
+                     tol: float = 1e-9, max_iters: int = 50) -> DinkelbachResult:
     """Parametric (Dinkelbach) iterations for the sign-vector ratio problem.
 
     Each step solves max delta^H (numerator - y denominator) delta exactly
@@ -284,8 +284,7 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
         shifted = prob.numerator - y * prob.denominator
         # Hermitian up to its operands' rounding, which is all of it if they cancel
         scale = np.abs(prob.numerator).max() + abs(y) * np.abs(prob.denominator).max()
-        res = quad_binary_max(shifted, initial=delta, exact_cap=exact_cap,
-                              scale=float(scale))
+        res = quad_binary_max(shifted, initial=delta, scale=float(scale))
         delta = res.delta
         y_new = prob.ratio(delta)
         trace.append(y_new)

@@ -14,11 +14,11 @@ The weight is the Gram matrix of the shared design matrix.  Every row block
 of that matrix is (dtheta_l kron x_l) kron I_{M-M_t}, and with full patterns
 (n_diffs a multiple of M_t) each IRS pattern is held while the pilot cycles
 through an orthogonal set, so Phi^H Phi = Kp kron I_{M_t} kron I_{M-M_t}
-with Kp the N x N Gram matrix of the IRS patterns.  The objective is then a
-sum over support triples tau = (p, t, r) of e_tau^H Kp e_tau, where the
-N-vector e_tau = omega_tau - pi_q holds the residuals of one product
-column and pi_q[n] = g[n, i] g[n, j] depends on the triple only through its
-antenna pair q = {i, j}.  Each pair has the same number w of triples
+with Kp = ``PilotSchedule.pattern_gram``, the N x N IRS pattern Gram
+matrix.  The objective is then a sum over support triples tau = (p, t, r)
+of e_tau^H Kp e_tau, where the N-vector e_tau = omega_tau - pi_q holds the
+residuals of one product column and pi_q[n] = g[n, i] g[n, j] depends on
+the triple only through its antenna pair q = {i, j}.  Each pair has the same number w of triples
 (2 C(M-2, M_t-1)), and expanding the square around their mean hbar_q gives
 
     J(g) = J0 + w sum_q (hbar_q - pi_q)^H Kp (hbar_q - pi_q),
@@ -28,8 +28,8 @@ N x M(M-1)/2 pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j]
 alone, and its iterates are those of the full-residual sweep up to rounding.
 An update of g[n, a] changes only row n of R; per IRS row one product
 G = Kp[n] @ R gives the pair gradient, and each entry step reads and updates
-it in O(M) plain-complex work.  ``refine`` raises ValueError when the weight
-does not have that form (a partly used last pattern).
+it in O(M) plain-complex work.  For a partly used last pattern the
+schedule's ``pattern_gram`` raises ValueError, and ``refine`` with it.
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -173,23 +173,6 @@ class ChannelEstimate:
     ne_trace: np.ndarray = field(repr=False, default=None)
 
 
-def _pattern_gram(gram: np.ndarray, n_elements: int, block: int) -> np.ndarray:
-    """The N x N pattern Gram matrix Kp of a weight ``gram`` = Kp kron I_block.
-
-    Kp is the (0, 0) slice of ``gram`` viewed as (N, block, N, block);
-    raises ValueError when ``gram`` is not Kp kron I to 1e-12 relative.
-    """
-    k = np.ascontiguousarray(
-        gram.reshape(n_elements, block, n_elements, block)[:, 0, :, 0])
-    misfit = np.abs(gram - np.kron(k, np.eye(block))).max()
-    if not misfit <= 1e-12 * np.abs(gram).max():
-        raise ValueError("weight is not an IRS pattern Gram matrix kron "
-                         f"I_(M_t (M - M_t)) (misfit {misfit:.3g}); a partly "
-                         "used last pattern (n_diffs not a multiple of M_t) "
-                         "does this")
-    return k
-
-
 class _MLObjective:
     """Weighted LS objective over all subframes, swept row by row on pairs.
 
@@ -208,7 +191,7 @@ class _MLObjective:
         sched = obs.schedule
         self.n, self.m = sched.n_elements, sched.m_antennas
         m_t, n_rx = sched.m_t, sched.n_rx
-        self.kp = _pattern_gram(obs.gram, self.n, m_t * n_rx)
+        self.kp = sched.pattern_gram
         self.g = g
 
         self.pairs = [(i, j) for i in range(self.m) for j in range(i + 1, self.m)]

@@ -126,7 +126,7 @@ def cmd_full_pipeline(args) -> int:
 
 def cmd_bqp_solve(args) -> int:
     cfg = _check_small_config(_load_json(args.config), {
-        "n": 10, "seed": 0, "tol": 1e-9, "max_iters": 50, "exact_cap": 24})
+        "n": 10, "seed": 0, "tol": 1e-9, "max_iters": 50})
     if args.seed is not None:
         cfg["seed"] = args.seed
     rng = np.random.default_rng(derive_seed(cfg["seed"], "bqp-solve"))
@@ -136,8 +136,7 @@ def cmd_bqp_solve(args) -> int:
     prob = bqp.RatioProblem(numerator=np.outer(v, v.conj()),
                             denominator=spread @ spread.conj().T / n)
     res = bqp.dinkelbach_solve(prob, tol=cfg["tol"],
-                               max_iters=int(cfg["max_iters"]),
-                               exact_cap=int(cfg["exact_cap"]))
+                               max_iters=int(cfg["max_iters"]))
     payload = {
         "n": n, "seed": cfg["seed"], "delta": res.delta.tolist(),
         "ratio": res.ratio, "y_trace": res.y_trace.tolist(),

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chanest, localize, pilot, waveopt
+from . import bqp, chanest, localize, pilot, waveopt
 from .scene import SceneConfig, path_loss, synthesize_scene
 from .util import derive_seed, random_unit_modulus
 
@@ -64,7 +64,6 @@ class LocalizationParams:
     threshold: float = 0.95
     max_cycles: int = 20
     optimize_waveform: bool = True
-    exact_cap: int = 24
 
 
 @dataclass
@@ -159,10 +158,10 @@ def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
         if cfg.m_antennas < 3:
             raise PointRejected(f"sweep point {point}: channel initialization "
                                 f"needs m_antennas >= 3, got {cfg.m_antennas}")
-        if localization and cfg.n_elements > loc_p.exact_cap:
+        if localization and cfg.n_elements > bqp.EXACT_CAP:
             raise PointRejected(f"sweep point {point}: n_elements="
-                                f"{cfg.n_elements} exceeds exact_cap "
-                                f"{loc_p.exact_cap}")
+                                f"{cfg.n_elements} exceeds the exact-solve "
+                                f"cap {bqp.EXACT_CAP}")
         sched = _point_schedule(point, cfg, pilot_p)
         if localization:
             _check_distinguishable(point, cfg, loc_p)
@@ -172,18 +171,15 @@ def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
 
 def _point_schedule(point: dict, cfg: SceneConfig,
                     pilot_p: PilotParams) -> pilot.PilotSchedule:
-    """The pilot schedule every trial of a sweep point shares."""
+    """The pilot schedule every trial of a sweep point shares, factored."""
     try:
         sched = pilot.build_schedule(
             cfg.m_antennas, pilot_p.m_t, cfg.n_elements,
             n_diffs=pilot_p.n_diffs, pilot_power=pilot_power_for(cfg, pilot_p))
+        sched.pattern_gram  # refused for a partly used last pattern
+        sched.pattern_pinv  # refused for a rank-deficient pattern
     except ValueError as exc:  # IdentifiabilityError included
         raise PointRejected(f"sweep point {point}: {exc}") from exc
-    if sched.n_diffs % sched.m_t:
-        raise PointRejected(
-            f"sweep point {point}: n_diffs={sched.n_diffs} is not a multiple "
-            f"of m_t={sched.m_t}; channel refinement needs every IRS pattern "
-            "held for all m_t pilot vectors")
     return sched
 
 
@@ -312,7 +308,7 @@ def run_localization_trial(cfg: SceneConfig, pilot_p: PilotParams,
         belief, diag = localize.run_cycle(
             scene, g_hat, grid, belief, x, theta, loc_p.snapshots,
             seed=derive_seed(master_seed, "echo", key, trial, cycle),
-            power_budget=loc_p.power_budget, exact_cap=loc_p.exact_cap)
+            power_budget=loc_p.power_budget)
         cycle_records.append({
             "cycle": belief.cycle, "probs": belief.probs.copy(),
             "residuals": diag.residuals.copy(),

@@ -190,8 +190,7 @@ class JointMlFit:
 
 
 def joint_ml(y: np.ndarray, phi: np.ndarray,
-             delta_init: np.ndarray | None = None,
-             exact_cap: int = 24) -> JointMlFit:
+             delta_init: np.ndarray | None = None) -> JointMlFit:
     """ML fit of (gamma, delta) for one hypothesis.
 
     Profiling out gamma reduces the fit to maximizing the Rayleigh-type
@@ -201,7 +200,7 @@ def joint_ml(y: np.ndarray, phi: np.ndarray,
     v = phi.conj().T @ y
     prob = RatioProblem(numerator=np.outer(v, v.conj()),
                         denominator=phi.conj().T @ phi)
-    res = dinkelbach_solve(prob, delta_init=delta_init, exact_cap=exact_cap)
+    res = dinkelbach_solve(prob, delta_init=delta_init)
     gamma = estimate_gamma(phi, res.delta, y)
     residual = float(np.linalg.norm(y - gamma * (phi @ res.delta)) ** 2)
     return JointMlFit(gamma=gamma, delta=res.delta, residual=residual,
@@ -273,8 +272,8 @@ class CycleDiagnostics:
 
 def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
               belief: BeliefState, x: np.ndarray, theta: np.ndarray,
-              snapshots: int, seed=None, power_budget: float | None = None,
-              exact_cap: int = 24) -> tuple[BeliefState, CycleDiagnostics]:
+              snapshots: int, seed=None, power_budget: float | None = None
+              ) -> tuple[BeliefState, CycleDiagnostics]:
     """One transmission-reception-calculation round.
 
     Simulates the echo, fits (gamma, delta) per hypothesis (warm-started
@@ -294,8 +293,7 @@ def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
     for j in range(n_hyp):
         phi = hypothesis_design(g_hat, theta, grid.steering[:, j], snapshots)
         try:
-            fit = joint_ml(y, phi, delta_init=belief.deltas[j],
-                           exact_cap=exact_cap)
+            fit = joint_ml(y, phi, delta_init=belief.deltas[j])
         except DegenerateRatioError as exc:
             raise DegenerateHypothesisError(
                 f"hypothesis {j}: {exc}") from exc

@@ -20,11 +20,17 @@ are columns of a DFT-phase matrix and dtheta rows are differences of
 consecutive columns; with M_t > 1 each pattern is held for M_t difference
 slots while the pilot vector cycles through an orthogonal DFT set, which
 keeps the stacked design matrix full rank and well conditioned.
+
+Every subframe shares Phi = pattern kron I_{M-M_t}, so the schedule holds
+the C x N M_t ``pattern``, its pseudo-inverse (the LS solve of a round is
+one product with it), rank check and the N x N pattern Gram matrix Kp of
+Phi^H Phi = Kp kron I; ``build_design_matrix`` forms Phi as a reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -46,7 +52,8 @@ class PilotSchedule:
     holds the IRS state of the first slot of each difference (the second
     slot state is ``irs_base + delta_theta``).  ``pilots`` has one transmit
     vector per difference index (C x M_t).  All subframes share the same
-    sequences, so they share one design matrix and one LS error covariance.
+    sequences, so they share one design matrix and one LS error covariance,
+    whose factors below are computed on first use and kept read-only.
     """
 
     m_antennas: int
@@ -81,6 +88,49 @@ class PilotSchedule:
                 f"got {self.n_diffs}")
         if self.pilots.shape != (self.n_diffs, self.m_t):
             raise ValueError("pilot array shape mismatch")
+
+    @cached_property
+    def pattern(self) -> np.ndarray:
+        """C x N M_t pattern matrix, row l = dtheta(l)^T kron x^T(l)."""
+        pattern = (self.delta_theta[:, :, None] * self.pilots[:, None, :]
+                   ).reshape(self.n_diffs, -1)
+        pattern.flags.writeable = False
+        return pattern
+
+    @cached_property
+    def _factor(self) -> tuple[np.ndarray, float]:
+        """Pseudo-inverse and condition number of ``pattern`` from one SVD
+        (Phi's: pinv kron I, and the same); raises IdentifiabilityError
+        below full column rank or past condition number 1e10."""
+        u, svals, vh = np.linalg.svd(self.pattern, full_matrices=False)
+        if len(svals) < self.pattern.shape[1] or svals[-1] <= svals[0] * 1e-10:
+            raise IdentifiabilityError(
+                f"design matrix is rank deficient (cond={svals[0] / max(svals[-1], 1e-300):.3g})")
+        pinv = (vh.conj().T / svals) @ u.conj().T
+        pinv.flags.writeable = False
+        return pinv, float(svals[0] / svals[-1])
+
+    @property
+    def pattern_pinv(self) -> np.ndarray:
+        return self._factor[0]
+
+    @property
+    def condition_number(self) -> float:
+        return self._factor[1]
+
+    @cached_property
+    def pattern_gram(self) -> np.ndarray:
+        """The N x N IRS pattern Gram matrix Kp of Phi^H Phi = Kp kron I,
+        which needs every pattern held for all M_t pilot vectors."""
+        if self.n_diffs % self.m_t:
+            raise ValueError(
+                f"n_diffs={self.n_diffs} is not a multiple of m_t={self.m_t} "
+                "(a partly used last pattern); channel refinement needs "
+                "every IRS pattern held for all m_t pilot vectors")
+        first = self.pattern[:, ::self.m_t]  # the columns of pilot entry 0
+        kp = first.conj().T @ first
+        kp.flags.writeable = False
+        return kp
 
 
 def schedule_efficiency(m_antennas: int, m_t: int, n_elements: int) -> float:
@@ -148,17 +198,13 @@ def build_schedule(m_antennas: int, m_t: int, n_elements: int,
     return sched
 
 
-def build_design_matrix(schedule: PilotSchedule, p: int = 0) -> np.ndarray:
-    """Stacked design matrix Phi of shape C(M-M_t) x N M_t (M-M_t).
+def build_design_matrix(schedule: PilotSchedule) -> np.ndarray:
+    """Stacked design matrix Phi = pattern kron I_{M-M_t} of every subframe,
+    C(M-M_t) x N M_t (M-M_t); the reference for the schedule's factors.
 
-    Row block l is dtheta(l)^T kron (x^T(l) kron I_{M-M_t}); identical for
-    every subframe p since the sequences are shared.  Stacked, Phi is
-    pattern kron I_{M-M_t}, with pattern row l = dtheta(l)^T kron x^T(l).
+    Row block l is dtheta(l)^T kron (x^T(l) kron I_{M-M_t}).
     """
-    del p  # shared across subframes by construction
-    pattern = (schedule.delta_theta[:, :, None] * schedule.pilots[:, None, :]
-               ).reshape(schedule.n_diffs, -1)
-    return np.kron(pattern, np.eye(schedule.n_rx))
+    return np.kron(schedule.pattern, np.eye(schedule.n_rx))
 
 
 def true_omega(scene: Scene, schedule: PilotSchedule, p: int) -> np.ndarray:
@@ -174,40 +220,21 @@ class ObservationSet:
     """Differential pilot observations of one estimation round.
 
     ``ytilde`` stacks the C(M - M_t)-dim differential observation of each
-    subframe row-wise.  ``phi`` is the shared design matrix and ``gram``
-    its Gram matrix Phi^H Phi (the ML weight up to the 1/(2 sigma^2)
-    scale).  With sigma2 > 0 the LS estimate covariance is
-    2 sigma^2 gram^{-1}.
-
-    ``omega_ls`` holds the per-subframe LS estimates (P x dim), read-only:
-    one solve of the shared design matrix against every subframe's
-    observation at construction, whose singular values also give the rank
-    check and ``condition_number``.
+    subframe row-wise.  ``omega_ls`` holds the per-subframe LS estimates
+    (P x dim, coordinate k (M - M_t) + r for pattern column k and receive
+    antenna r), read-only: one product with ``pattern_pinv``.
     """
 
     schedule: PilotSchedule
     ytilde: np.ndarray
-    phi: np.ndarray
     sigma2: float
-    gram: np.ndarray = field(repr=False, default=None)
     omega_ls: np.ndarray = field(init=False, repr=False)
-    condition_number: float = field(init=False)
 
     def __post_init__(self):
-        if self.gram is None:
-            self.gram = self.phi.conj().T @ self.phi
-        sol, _, _, svals = np.linalg.lstsq(self.phi, self.ytilde.T, rcond=None)
-        if svals[-1] <= svals[0] * 1e-10:
-            raise IdentifiabilityError(
-                f"design matrix is rank deficient (cond={svals[0] / max(svals[-1], 1e-300):.3g})")
-        self.condition_number = float(svals[0] / svals[-1])
-        self.omega_ls = np.ascontiguousarray(sol.T)
+        sched = self.schedule
+        per_rx = self.ytilde.reshape(-1, sched.n_diffs, sched.n_rx)
+        self.omega_ls = (sched.pattern_pinv @ per_rx).reshape(len(per_rx), -1)
         self.omega_ls.flags.writeable = False
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """LS error covariance 2 sigma^2 (Phi^H Phi)^{-1}; requires sigma2 > 0."""
-        return ls_covariance(self.gram, self.sigma2)
 
 
 def ls_covariance(gram: np.ndarray, sigma2: float) -> np.ndarray:
@@ -251,16 +278,10 @@ def simulate_pilot_round(scene: Scene, schedule: PilotSchedule,
             y = y + np.sqrt(sigma2) * ((z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0))
         ytilde[p] = (y[:, 1] - y[:, 0]).reshape(-1)
 
-    phi = build_design_matrix(schedule)
-    return ObservationSet(schedule=schedule, ytilde=ytilde, phi=phi,
-                          sigma2=sigma2)
+    return ObservationSet(schedule=schedule, ytilde=ytilde, sigma2=sigma2)
 
 
-def ls_estimate(obs: ObservationSet, p: int) -> np.ndarray:
-    """Least-squares estimate of omega(p) from subframe p's observation."""
-    return obs.omega_ls[p]
-
-
+# perfbench times this layer by wrapping it as chanest.ls_estimates
 def ls_estimates(obs: ObservationSet) -> np.ndarray:
     """LS estimates for all subframes, stacked row-wise (P x dim)."""
     return obs.omega_ls

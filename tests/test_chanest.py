@@ -7,7 +7,8 @@ from scipy.optimize import minimize
 
 from irsloc.chanest import (_MLObjective, estimate_channel, initialize,
                             normalized_error, pairwise_products, refine)
-from irsloc.pilot import build_schedule, ls_covariance, simulate_pilot_round
+from irsloc.pilot import (build_design_matrix, build_schedule, ls_covariance,
+                          ls_estimates, simulate_pilot_round)
 from irsloc.scene import SceneConfig, synthesize_scene
 from irsloc.util import crandn, derive_seed
 
@@ -74,8 +75,7 @@ def test_averaging_reduces_error():
         h_bar = pairwise_products(obs)
         truth = scene.G[:, 0] * scene.G[:, 1]
         err_avg.append(np.abs(h_bar[:, 0, 1] - truth) ** 2)
-        from irsloc.pilot import ls_estimate
-        single = ls_estimate(obs, 0).reshape(scene.G.shape[0], 1, 3)[:, 0, 0]
+        single = ls_estimates(obs)[0].reshape(scene.G.shape[0], 1, 3)[:, 0, 0]
         err_single.append(np.abs(single - truth) ** 2)
     assert np.mean(err_avg) < np.mean(err_single)
 
@@ -229,10 +229,17 @@ def subframe_residuals(obs, g):
     return res
 
 
+def design_gram(sched):
+    """The full LS weight Phi^H Phi, from the reference design matrix."""
+    phi = build_design_matrix(sched)
+    return phi.conj().T @ phi
+
+
 def full_objective(obs, residuals):
     """sum_p e_p^H W e_p, W the LS weight with the objective's scale."""
     scale = 1.0 / (2.0 * obs.sigma2) if obs.sigma2 > 0 else 1.0
-    return scale * sum(float(np.real(e.conj() @ obs.gram @ e)) for e in residuals)
+    gram = design_gram(obs.schedule)
+    return scale * sum(float(np.real(e.conj() @ gram @ e)) for e in residuals)
 
 
 def test_refine_objective_scale_uses_covariance():
@@ -240,8 +247,7 @@ def test_refine_objective_scale_uses_covariance():
     g0 = initialize(pairwise_products(obs))
     state = _MLObjective(obs, g0.copy())
     # J = sum_p e^H R^{-1} e with R = 2 sigma^2 (Phi^H Phi)^{-1}
-    gram = obs.phi.conj().T @ obs.phi
-    r_inv = np.linalg.inv(ls_covariance(gram, obs.sigma2))
+    r_inv = np.linalg.inv(ls_covariance(design_gram(obs.schedule), obs.sigma2))
     expected = sum(float(np.real(e.conj() @ r_inv @ e))
                    for e in subframe_residuals(obs, g0))
     assert state.value() == pytest.approx(expected, rel=1e-9)
@@ -295,7 +301,7 @@ class PerEntryObjective:
         sched = obs.schedule
         self.n, self.m = sched.n_elements, sched.m_antennas
         self.m_t, self.n_rx = sched.m_t, sched.n_rx
-        self.weight = obs.gram
+        self.weight = design_gram(sched)
         self.obs = obs
         self.subframes = sched.subframes
         self.g = g
@@ -414,7 +420,7 @@ def snapshot(state, obs):
     """The fields ``loop_step`` reads, built from a live state's g."""
     sched = obs.schedule
     return SimpleNamespace(m_t=sched.m_t, n_rx=sched.n_rx,
-                           subframes=sched.subframes, weight=obs.gram,
+                           subframes=sched.subframes, weight=design_gram(sched),
                            g=state.g.copy(),
                            residuals=subframe_residuals(obs, state.g))
 
@@ -490,14 +496,14 @@ def test_update_objectives_one_per_update():
                                                       rel=1e-12)
 
 
-def test_weight_must_be_pattern_gram_kron_identity():
-    obs, g0 = perturbed_round(5, 2, None)
-    bad = obs.gram.copy()
-    bad[0, 1] += 1e-6 * np.abs(bad).max()  # couples receive antennas 0 and 1
-    bad[1, 0] = np.conj(bad[0, 1])
-    obs.gram = bad
-    with pytest.raises(ValueError):
-        refine(obs, g0)
+@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
+def test_pattern_gram_kron_identity_matches_design_gram(m, m_t, n_diffs):
+    # with full patterns the refinement's weight Kp kron I_{M_t (M - M_t)}
+    # is the Gram matrix of the full design matrix
+    sched = build_schedule(m, m_t, 6, n_diffs=n_diffs, pilot_power=3.0)
+    kp = sched.pattern_gram
+    assert kp.shape == (6, 6)
+    assert close(np.kron(kp, np.eye(m_t * sched.n_rx)), design_gram(sched))
 
 
 # ------------------------------------------------------------------ metric

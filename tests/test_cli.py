@@ -176,7 +176,7 @@ def _last_error(capsys):
 
 
 @pytest.mark.parametrize("command, scene", [
-    ("localize", {"n_x": 5, "n_y": 5}),     # N = 25 over exact_cap 24
+    ("localize", {"n_x": 5, "n_y": 5}),     # N = 25 over EXACT_CAP = 24
     ("localize", {"m_antennas": 2}),
     ("chanest", {"m_antennas": 2}),
     ("localize", {"n_x": 3, "n_y": 1}),     # every grid center steers alike

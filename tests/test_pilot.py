@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import comb
 
@@ -6,9 +7,9 @@ import pytest
 
 from irsloc.pilot import (IdentifiabilityError, ObservationSet, PilotSchedule,
                           build_design_matrix, build_schedule,
-                          count_product_estimates, ls_covariance, ls_estimate,
-                          ls_estimates, schedule_efficiency,
-                          simulate_pilot_round, true_omega)
+                          count_product_estimates, ls_covariance, ls_estimates,
+                          schedule_efficiency, simulate_pilot_round,
+                          true_omega)
 from irsloc.scene import SceneConfig, synthesize_scene
 from irsloc.util import as_rng, crandn, khatri_rao, vec
 
@@ -136,8 +137,9 @@ def test_static_channels_cancel_exactly():
     static_amp = np.sqrt(scene.config.si_power) + np.sqrt(scene.config.ref_power)
     atol = 1e-12 * static_amp
     assert np.allclose(obs_a.ytilde, obs_b.ytilde, rtol=0, atol=atol)
+    phi = build_design_matrix(sched)
     for p in range(sched.n_subframes):
-        model = obs_a.phi @ true_omega(scene, sched, p)
+        model = phi @ true_omega(scene, sched, p)
         assert np.allclose(obs_a.ytilde[p], model, rtol=0, atol=atol)
 
 
@@ -210,11 +212,12 @@ def test_noiseless_observation_matches_loop_oracle(m, m_t, n):
     scene = synthesize_scene(cfg, seed=9)
     sched = build_schedule(m, m_t, n)
     obs = simulate_pilot_round(scene, sched, seed=2)
+    phi = build_design_matrix(sched)
     for p in range(sched.n_subframes):
         oracle = loop_oracle_ytilde(scene, sched, p)
         scale = np.linalg.norm(oracle)
         assert np.linalg.norm(obs.ytilde[p] - oracle) < 1e-10 * scale
-        model = obs.phi @ true_omega(scene, sched, p)
+        model = phi @ true_omega(scene, sched, p)
         assert np.linalg.norm(model - oracle) < 1e-10 * scale
 
 
@@ -243,7 +246,7 @@ def test_ls_noiseless_consistency():
     obs = simulate_pilot_round(scene, sched, seed=5)
     for p in range(sched.n_subframes):
         omega = true_omega(scene, sched, p)
-        est = ls_estimate(obs, p)
+        est = ls_estimates(obs)[p]
         assert np.linalg.norm(est - omega) < 1e-10 * np.linalg.norm(omega)
 
 
@@ -253,13 +256,26 @@ def test_ls_covariance_identity_case():
         ls_covariance(np.eye(3), 0.0)
 
 
+def with_pattern(sched, pattern):
+    """A hand-built copy of the single-transmit ``sched`` whose pattern
+    matrix is ``pattern`` (unit pilots, so dtheta is the pattern)."""
+    return PilotSchedule(
+        m_antennas=sched.m_antennas, m_t=1, n_elements=sched.n_elements,
+        pilot_power=1.0, subframes=sched.subframes, delta_theta=pattern,
+        irs_base=np.zeros_like(pattern),
+        pilots=np.ones((len(pattern), 1), dtype=complex))
+
+
 def test_rank_deficiency_detected():
     sched = build_schedule(3, 1, 2)
-    phi = build_design_matrix(sched)
-    phi[:, 0] = phi[:, 1]
+    pattern = np.array(sched.pattern)
+    pattern[:, 0] = pattern[:, 1]
+    bad = with_pattern(sched, pattern)
+    ytilde = np.zeros((3, sched.n_diffs * sched.n_rx))
     with pytest.raises(IdentifiabilityError):
-        ObservationSet(schedule=sched, ytilde=np.zeros((3, phi.shape[0])),
-                       phi=phi, sigma2=0.0)
+        ObservationSet(schedule=bad, ytilde=ytilde, sigma2=0.0)
+    with pytest.raises(IdentifiabilityError):
+        bad.condition_number
 
 
 def test_empirical_covariance_matches_model():
@@ -270,9 +286,9 @@ def test_empirical_covariance_matches_model():
                       sigma2_si_db=-10.0, sigma2_ref_db=-10.0)
     scene = synthesize_scene(cfg, seed=21)
     sched = build_schedule(2, 1, 2, pilot_power=4.0)
-    obs0 = simulate_pilot_round(scene, sched, seed=0)
+    phi = build_design_matrix(sched)
     sigma2 = cfg.noise_power
-    expected = ls_covariance(obs0.phi.conj().T @ obs0.phi, sigma2)
+    expected = ls_covariance(phi.conj().T @ phi, sigma2)
     omega = true_omega(scene, sched, 0)
 
     rng_seeds = range(10_000)
@@ -280,8 +296,8 @@ def test_empirical_covariance_matches_model():
     noise_power = []
     for s in rng_seeds:
         obs = simulate_pilot_round(scene, sched, seed=1000 + s)
-        errs.append(ls_estimate(obs, 0) - omega)
-        resid = obs.ytilde[0] - obs.phi @ omega
+        errs.append(ls_estimates(obs)[0] - omega)
+        resid = obs.ytilde[0] - phi @ omega
         noise_power.append(np.mean(np.abs(resid) ** 2))
     errs = np.asarray(errs)
     sample_cov = errs.T @ errs.conj() / errs.shape[0]
@@ -296,9 +312,8 @@ def test_ls_estimates_stacks_all_subframes():
     sched = build_schedule(cfg.m_antennas, 1, cfg.n_elements)
     obs = simulate_pilot_round(scene, sched, seed=3)
     stacked = ls_estimates(obs)
-    assert stacked.shape == (sched.n_subframes, obs.phi.shape[1])
-    for p in range(sched.n_subframes):
-        assert np.array_equal(stacked[p], ls_estimate(obs, p))
+    assert stacked.shape == (sched.n_subframes,
+                             build_design_matrix(sched).shape[1])
     # solved once per round, and shared read-only by every caller
     assert ls_estimates(obs) is stacked
     assert not stacked.flags.writeable
@@ -311,8 +326,9 @@ def test_omega_ls_matches_per_subframe_lstsq(m, m_t, n_diffs):
     sched = build_schedule(m, m_t, cfg.n_elements, n_diffs=n_diffs,
                            pilot_power=1e-3)
     obs = simulate_pilot_round(scene, sched, seed=16)
+    phi = build_design_matrix(sched)
     for p in range(sched.n_subframes):
-        single = np.linalg.lstsq(obs.phi, obs.ytilde[p], rcond=None)[0]
+        single = np.linalg.lstsq(phi, obs.ytilde[p], rcond=None)[0]
         err = np.abs(obs.omega_ls[p] - single).max()
         assert err <= 1e-12 * np.abs(single).max()
 
@@ -321,16 +337,36 @@ def test_omega_ls_rank_check():
     sched = build_schedule(3, 1, 2)
     phi = build_design_matrix(sched)
     ytilde = np.ones((3, phi.shape[0]))
-    obs = ObservationSet(schedule=sched, ytilde=ytilde, phi=phi, sigma2=0.0)
-    # one solve at construction gives the estimates and the rank check
-    assert np.array_equal(ls_estimates(obs),
-                          np.linalg.lstsq(phi, ytilde.T, rcond=None)[0].T)
-    u, svals, vh = np.linalg.svd(phi, full_matrices=False)
-    assert obs.condition_number == pytest.approx(svals[0] / svals[-1], rel=1e-9)
+    obs = ObservationSet(schedule=sched, ytilde=ytilde, sigma2=0.0)
+    assert np.allclose(ls_estimates(obs),
+                       np.linalg.lstsq(phi, ytilde.T, rcond=None)[0].T,
+                       rtol=0, atol=1e-12)
+    # Phi = pattern kron I shares the pattern's singular values
+    svals = np.linalg.svd(phi, compute_uv=False)
+    assert sched.condition_number == pytest.approx(svals[0] / svals[-1],
+                                                   rel=1e-9)
     # full rank to lstsq, but past the 1e-10 condition bound
+    u, svals, vh = np.linalg.svd(sched.pattern)
     svals[-1] = svals[0] * 1e-11
-    assert np.linalg.lstsq((u * svals) @ vh, ytilde.T, rcond=None)[2] \
-        == phi.shape[1]
+    bad = with_pattern(sched, (u * svals) @ vh)
+    assert np.linalg.lstsq(build_design_matrix(bad), ytilde.T,
+                           rcond=None)[2] == phi.shape[1]
     with pytest.raises(IdentifiabilityError):
-        ObservationSet(schedule=sched, ytilde=ytilde, phi=(u * svals) @ vh,
-                       sigma2=0.0)
+        ObservationSet(schedule=bad, ytilde=ytilde, sigma2=0.0)
+    with pytest.raises(IdentifiabilityError):
+        bad.condition_number
+
+
+def test_schedule_factors_its_pattern_once_read_only():
+    sched = build_schedule(5, 2, 4, pilot_power=2.0)
+    # nothing beyond the fields before first use
+    assert vars(sched).keys() == {f.name for f in fields(sched)}
+    cfg = noiseless_config(m_antennas=5, n_x=2, n_y=2)
+    scene = synthesize_scene(cfg, seed=3)
+    obs_a = simulate_pilot_round(scene, sched, seed=1)
+    obs_b = simulate_pilot_round(scene, sched, seed=2)
+    assert obs_a.schedule.pattern_pinv is obs_b.schedule.pattern_pinv
+    for arr in (sched.pattern, sched.pattern_pinv, sched.pattern_gram):
+        assert not arr.flags.writeable
+    assert np.allclose(sched.pattern_pinv, np.linalg.pinv(sched.pattern),
+                       rtol=0, atol=1e-12 * np.abs(sched.pattern_pinv).max())

@@ -107,6 +107,16 @@ def _suffix_rows(n: int) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _block_buffer(rows: int, cols: int) -> np.ndarray:
+    """The block buffer of the bound-ordered visit of one table size (about
+    2^15 float64 entries, 256 KB).  Kept for the process, like the tables,
+    so a visit does not map and fault in a fresh buffer above the
+    allocator's mmap threshold on every call.  It is scratch space:
+    nothing returned refers to it, and no two visits run at once."""
+    return np.empty((rows, cols))
+
+
 def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
     """Canonical indices of the table entries near the maximum, ascending,
     and the number of prefixes whose block of the table was computed.
@@ -114,10 +124,11 @@ def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
     With delta = [a, q], a = [1, p], the table value is a^T S11 a +
     q^T S22 q + a^T (2 S12) q.  The row values are folded into one product,
     [a^T 2 S12, a^T S11 a, 1] @ [q; 1; q^T S22 q], so a block of prefixes
-    costs one matrix product; blocks of a larger table are written into one
-    reused buffer of about 2^15 entries.  An entry is near the maximum when it lies within the band,
-    1e-9 sum|s_ij|, of the table's maximum; the band is far above the
-    rounding of the table and of ``quad_form_value`` at any scale.
+    costs one matrix product; blocks of a larger table are written into the
+    buffer :func:`_block_buffer` keeps per table size.  An entry is near the
+    maximum when it lies within the band, 1e-9 sum|s_ij|, of the table's
+    maximum; the band is far above the rounding of the table and of
+    ``quad_form_value`` at any scale.
 
     A table of one block is one product.  A larger table is visited prefix
     by prefix in decreasing order of the bound u(a) = a^T S11 a +
@@ -152,7 +163,7 @@ def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
     # ascending, so the prefixes whose bound reaches a level are those
     # before its searchsorted position
     neg_bound = neg_bound[order]
-    buf = np.empty((rows, n_suf))
+    buf = _block_buffer(rows, n_suf)
     top, size, visited, hits, hit_values = -np.inf, 1, 0, [], []
     while True:
         reach = int(neg_bound.searchsorted(2.0 * band - top, side="right"))

@@ -121,7 +121,10 @@ class PilotSchedule:
     @cached_property
     def pattern_gram(self) -> np.ndarray:
         """The N x N IRS pattern Gram matrix Kp of Phi^H Phi = Kp kron I,
-        which needs every pattern held for all M_t pilot vectors."""
+        which needs every pattern held for all M_t pilot vectors, and those
+        vectors orthogonal with equal power (as ``build_schedule``'s DFT
+        set is).  Raises ValueError when the pattern's Gram misses
+        Kp kron I_{M_t} by more than 1e-12 of its largest entry."""
         if self.n_diffs % self.m_t:
             raise ValueError(
                 f"n_diffs={self.n_diffs} is not a multiple of m_t={self.m_t} "
@@ -129,6 +132,14 @@ class PilotSchedule:
                 "every IRS pattern held for all m_t pilot vectors")
         first = self.pattern[:, ::self.m_t]  # the columns of pilot entry 0
         kp = first.conj().T @ first
+        gram = self.pattern.conj().T @ self.pattern
+        misfit = np.abs(gram - np.kron(kp, np.eye(self.m_t))).max()
+        if misfit > 1e-12 * np.abs(gram).max():
+            raise ValueError(
+                f"the pattern Gram misses Kp kron I_{self.m_t} by "
+                f"{misfit / np.abs(gram).max():.3g} of its largest entry; "
+                "channel refinement needs the pilot vectors of every IRS "
+                "pattern orthogonal and of equal power")
         kp.flags.writeable = False
         return kp
 

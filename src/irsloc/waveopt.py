@@ -17,20 +17,37 @@ Neither matrix is formed.  With the hypothesis factors U_i = diag(a_i) G_i
 (N x M), A_ij = U_j^* U_i^T has rank at most M and B_ij = v_j^* v_i^T with
 v_i = U_i x, so every trace is an inner product of M-vector carriers,
 
-    tr(Q^H A_ij Q B_ij) = C_ji^H C_ij,    C_ij = U_i^T Q v_j^*,
+    tr(Q^H A_ij Q B_ij) = C_ji^H C_ij,    C_ij = U_i^T Q v_j^* = E_ij x^*,
 
-and the weighted sum of all distances is sum_ij W_ij C_ji^H C_ij for one
-Hermitian I x I term-weight matrix W (I hypotheses; scale, pair priorities
-and alpha products folded in).  One evaluation costs O(I N^2 + I^2 N M),
-against O(N^4) per trace term for the dense form.  The waveform matrix
-comes from E_ij = U_i^T Q U_j^* (M x M).
+with E_ij = U_i^T Q U_j^* (M x M), and the weighted sum of all distances
+is sum_ij W_ij C_ji^H C_ij for one Hermitian I x I term-weight matrix W
+(I hypotheses; scale, pair priorities and alpha products folded in).
+One product of the stacked factors with Q forms every E_ij, at
+O(I M N^2 + I^2 M^2 N), against O(N^4) per trace term for the dense form.
 
-The Q sweep goes row by row.  Within row m the entries couple only through
-the N x N matrix H_m = V^T (W o A_m) V^* (V stacks the v_i as rows,
-A_m[i, j] = U_i[m] . U_j[m]^*), whose diagonal is the self-quadratic
-coefficient chi of each entry.  So a row costs one contraction for its
-starting gradient, O(N) plain-complex work per entry against the couplings
-of the entries already updated, and one rank-one carrier update at its end.
+An inner iteration forms the E blocks once, for the Q its sweep leaves,
+and every block after the sweep reads them:
+
+* the x block builds the waveform matrix Z = sum_ij W_ij E_ij^T E_ji^*
+  (x^H Z x is the weighted distance at fixed Q) as one product;
+* the objective that ends the iteration takes the carriers E_ij x^* of
+  the new x;
+* the next Q sweep takes its starting gradient weights from those
+  carriers.
+
+The theta block reads only Q.  ``weighted_distance`` and
+``OptimizerState.objective`` evaluate from scratch.
+
+The Q sweep goes row by row.  Row m's gradient is T[:, m] V (V stacks the
+v_i as rows), with I x N gradient weights T read off the carriers at sweep
+start; a row's steps move T by one product with the context's
+``row_steps``.  Within row m the entries couple only through the N x N
+matrix H_m = V^T (W o A_m) V^* (A_m[i, j] = U_i[m] . U_j[m]^*), whose
+diagonal is the self-quadratic coefficient chi of each entry.  So a row
+costs one product for its starting gradient, O(N) plain-complex work per
+entry against the couplings of the entries already updated (the strict
+lower triangle of H_m), one write of the row and one product for the
+gradient weights of the rows after it.
 
 The rank-1 coupling Q = theta theta^H is enforced by a penalty
 (1/2 rho)(Re{theta^H Q theta} - N^2) whose weight grows as rho shrinks
@@ -53,6 +70,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import mul
 
 import numpy as np
@@ -68,15 +86,18 @@ class DistanceContext:
     (posterior product), read from the strict upper triangle.  ``scale`` is
     snapshots / noise_power, or just snapshots when noise_power = 0.
 
-    Derived: ``factors`` stacks U_i = diag(a_i) G_i (I x N x M);
+    Derived: ``factors`` stacks U_i = diag(a_i) G_i (I x N x M) and
+    ``stacked`` their transposes U_i^T as one I M x N matrix;
     ``term_weights`` is the Hermitian I x I matrix W of the weighted sum
     sum_ij W_ij tr(Q^H A_ij Q B_ij) (self terms W_ii = s |alpha_i|^2
     sum_{j != i} w_ij of every pair hypothesis i belongs to, cross terms
-    W_ij = -s w_ij alpha_i alpha_j^* for i < j and W_ji = W_ij^*).  Per IRS
-    row m, ``row_coupling[m]`` is W o A_m with A_m[i, j] = U_i[m] . U_j[m]^*
-    (N x I x I) and ``gradient_weights[m, i]`` holds W_ij U_j[m]^* flattened
-    over (j, k) (N x I x 1 x I M): the weights of Q's in-row coupling and of
-    its gradient entries.
+    W_ij = -s w_ij alpha_i alpha_j^* for i < j and W_ji = W_ij^*).
+    ``gradient_weights[i, m]`` holds W_ij U_j[m]^* flattened over (j, k)
+    (I x N x I M): the weights of row m's gradient.  ``row_steps[a]`` holds
+    W_ij (U_i[a] . U_j[b]^*) at [i N + b, j] (N x I N x I): how a step of
+    Q's row a moves the gradient weights of every row b.  Its diagonal
+    blocks ``row_coupling[m]`` = W o A_m (N x I x I), with
+    A_m[i, j] = U_i[m] . U_j[m]^*, weigh Q's in-row coupling.
     """
 
     channels: list
@@ -86,9 +107,11 @@ class DistanceContext:
     snapshots: int
     noise_power: float
     factors: np.ndarray = field(init=False, repr=False)
+    stacked: np.ndarray = field(init=False, repr=False)
     term_weights: np.ndarray = field(init=False, repr=False)
-    row_coupling: np.ndarray = field(init=False, repr=False)
     gradient_weights: np.ndarray = field(init=False, repr=False)
+    row_steps: np.ndarray = field(init=False, repr=False)
+    row_coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_hyp = len(self.channels)
@@ -101,11 +124,18 @@ class DistanceContext:
         w[np.diag_indices_from(w)] = ((pairs + pairs.T).sum(axis=1)
                                       * np.abs(self.alphas) ** 2 * self.scale)
         self.factors = u
+        self.stacked = u.transpose(0, 2, 1).reshape(-1, self.n_elements)
         self.term_weights = w
-        self.row_coupling = w * np.einsum("imk,jmk->mij", u, u.conj())
-        u_rows = u.conj().transpose(1, 0, 2)  # (N, I, M): U_j[m]^*
-        self.gradient_weights = (w[None, :, :, None] * u_rows[:, None]).reshape(
-            self.n_elements, n_hyp, 1, -1)
+        n = self.n_elements
+        by_row = u.transpose(1, 0, 2)  # (N, I, M): U_i[a]
+        self.gradient_weights = (w[:, None, :, None] * by_row.conj()
+                                 ).reshape(n_hyp, n, -1)
+        flat = by_row.reshape(n * n_hyp, -1)
+        steps = w[None, :, None, :] * (flat @ flat.conj().T).reshape(
+            n, n_hyp, n, n_hyp)
+        self.row_steps = steps.reshape(n, n_hyp * n, n_hyp)
+        diag = np.arange(n)
+        self.row_coupling = steps[diag, :, diag, :]
 
     @property
     def n_hypotheses(self) -> int:
@@ -138,41 +168,56 @@ def build_context(g_hat: np.ndarray, belief, grid, snapshots: int,
                            noise_power=noise_power)
 
 
-class _Carriers:
-    """The one distance evaluator: carriers C_ij = U_i^T Q v_j^*, v_j = U_j x.
+class _Lift:
+    """The one distance evaluator: E_ij = U_i^T Q U_j^* (M x M) at one Q.
 
-    With the context's term weights W it gives the weighted trace sum
-    sum_ij W_ij C_ji^H C_ij, the Q-gradient entries of row m,
-    [sum_ij W_ij A_ij Q B_ij]_{mn} = sum_ij W_ij v_i[n] U_j[m]^H C_ij, and
-    the in-row couplings H_m.  Setting Q[m, n] += d moves each C_ij by
-    d U_i[m] v_j[n]^*.  ``c`` holds the carriers as an I x I x M array.
+    All I^2 blocks come from one product of the stacked factors with Q
+    (``e[i, k, j, l]`` = E_ij[k, l]).  At a waveform x they give the
+    carriers C_ij = U_i^T Q v_j^* = E_ij x^*, the weighted trace sum
+    sum_ij W_ij C_ji^H C_ij, the gradient weights of every Q row, and the
+    waveform matrix Z with x^H Z x equal to that sum.
     """
 
-    def __init__(self, ctx: DistanceContext, q: np.ndarray, x: np.ndarray):
+    def __init__(self, ctx: DistanceContext, q: np.ndarray):
         self.ctx = ctx
-        self.v = ctx.factors @ x
-        self.c = np.einsum("inm,jn->ijm", ctx.factors, self.v.conj() @ q.T)
+        self.q = q
+        n_hyp, _, m = ctx.factors.shape
+        stacked = ctx.stacked
+        self.e = (stacked @ (q @ stacked.conj().T)).reshape(n_hyp, m, n_hyp, m)
 
-    def distance(self) -> float:
-        return float(np.real(np.einsum("ij,jim,ijm->", self.ctx.term_weights,
-                                       self.c.conj(), self.c)))
+    def carriers(self, x: np.ndarray) -> np.ndarray:
+        """C_ij = E_ij x^* as an I x I x M array."""
+        return (self.e @ x.conj()).transpose(0, 2, 1)
 
-    def coupling(self) -> np.ndarray:
-        """H[m] = V^T (W o A_m) V^* (N x N x N): H[m][n, n'] is the change of
-        gradient entry (m, n) per unit step of Q[m, n']; its diagonal is
-        chi[m, n] = sum_ij W_ij A_ij(m, m) B_ij(n, n)."""
-        return self.v.T @ self.ctx.row_coupling @ self.v.conj()
+    def distance(self, x: np.ndarray) -> float:
+        c = self.carriers(x)
+        weighted = self.ctx.term_weights[:, :, None] * c
+        return float(np.vdot(c.swapaxes(0, 1), weighted).real)
 
-    def row_gradient(self, m: int) -> np.ndarray:
-        """Gradient entries (m, n) for every column n at the current Q."""
-        n_hyp = self.v.shape[0]
-        t = self.ctx.gradient_weights[m] @ self.c.reshape(n_hyp, -1, 1)
-        return t.ravel() @ self.v
+    def gradient_rows(self, x: np.ndarray) -> np.ndarray:
+        """T (I x N) with T[i, m] = sum_j W_ij U_j[m]^H C_ij, so that the
+        distance's Q-gradient sum_ij W_ij A_ij Q B_ij is T^T V, where V
+        stacks the v_i = U_i x as rows."""
+        n_hyp = self.e.shape[0]
+        c = self.carriers(x).reshape(n_hyp, -1, 1)
+        return (self.ctx.gradient_weights @ c).reshape(n_hyp, -1)
 
-    def step_row(self, m: int, d) -> None:
-        """Track Q[m, :] += d: C_ij += U_i[m] (v_j^H d)."""
-        self.c += self.ctx.factors[:, m, None, :] \
-            * (self.v.conj() @ np.asarray(d))[None, :, None]
+    def waveform_matrix(self) -> np.ndarray:
+        """Hermitian Z = sum_ij W_ij E_ij^T E_ji^*, one product of the
+        weighted blocks with the pair-swapped ones."""
+        e = self.e
+        m = e.shape[1]
+        weighted = (e * self.ctx.term_weights[:, None, :, None]).reshape(-1, m)
+        swapped = e.transpose(2, 1, 0, 3).reshape(-1, m)
+        z = weighted.T @ swapped.conj()
+        return (z + z.conj().T) / 2.0
+
+
+def in_row_coupling(ctx: DistanceContext, v: np.ndarray) -> np.ndarray:
+    """H[m] = V^T (W o A_m) V^* (N x N x N): H[m][n, n'] is the change of
+    gradient entry (m, n) per unit step of Q[m, n']; its diagonal is
+    chi[m, n] = sum_ij W_ij A_ij(m, m) B_ij(n, n)."""
+    return v.T @ ctx.row_coupling @ v.conj()
 
 
 def pair_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray,
@@ -182,12 +227,12 @@ def pair_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray,
         return 0.0
     pair = np.zeros((ctx.n_hypotheses, ctx.n_hypotheses))
     pair[min(i, j), max(i, j)] = 1.0
-    return _Carriers(replace(ctx, weights=pair), q, x).distance()
+    return _Lift(replace(ctx, weights=pair), q).distance(x)
 
 
 def weighted_distance(ctx: DistanceContext, q: np.ndarray, x: np.ndarray) -> float:
     """Weighted sum of pairwise distances at (Q, x)."""
-    return _Carriers(ctx, q, x).distance()
+    return _Lift(ctx, q).distance(x)
 
 
 def penalty_value(q: np.ndarray, theta: np.ndarray, rho: float) -> float:
@@ -203,13 +248,17 @@ def constraint_violation(q: np.ndarray, theta: np.ndarray) -> float:
 
 @dataclass
 class OptimizerState:
-    """Block variables and penalty bookkeeping of one design run."""
+    """Block variables and penalty bookkeeping of one design run.
+
+    ``lift`` caches the E blocks of the current Q (see :meth:`lifted`).
+    """
 
     q: np.ndarray
     theta: np.ndarray
     x: np.ndarray
     rho: float
     power_budget: float
+    lift: _Lift | None = field(default=None, init=False, repr=False)
 
     def validate(self):
         if np.abs(np.abs(self.q) - 1.0).max() > 1e-9:
@@ -219,9 +268,28 @@ class OptimizerState:
         if np.linalg.norm(self.x) ** 2 > self.power_budget * (1 + 1e-9):
             raise ValueError("waveform exceeds the power budget")
 
+    def lifted(self, ctx: DistanceContext) -> _Lift:
+        """The E blocks of the current Q, formed once per new Q: ``update_q``
+        drops them after changing Q in place, and a new Q array or another
+        context forms them afresh."""
+        lift = self.lift
+        if lift is None or lift.q is not self.q or lift.ctx is not ctx:
+            lift = self.lift = _Lift(ctx, self.q)
+        return lift
+
     def objective(self, ctx: DistanceContext) -> float:
+        """Penalized objective, evaluated from scratch."""
         return weighted_distance(ctx, self.q, self.x) \
             + penalty_value(self.q, self.theta, self.rho)
+
+
+@lru_cache(maxsize=None)
+def _lower_triangle(n: int) -> np.ndarray:
+    """Flat indices of an n x n strict lower triangle, row-major (read-only)."""
+    rows, cols = np.tril_indices(n, -1)
+    flat = rows * n + cols
+    flat.flags.writeable = False
+    return flat
 
 
 def update_q(state: OptimizerState, ctx: DistanceContext,
@@ -230,48 +298,52 @@ def update_q(state: OptimizerState, ctx: DistanceContext,
 
     Each entry is set to the phase of its linear coefficient in the
     penalized objective: the weighted distance gradient minus the
-    self-quadratic part, plus the penalty's theta theta^H term.  Row by
-    row, that coefficient is the row's starting value ``base`` plus the
-    in-row couplings of the steps already taken in the row; the scalar
-    steps run on plain Python complex numbers, and the carriers take the
-    row's steps at its end.
+    self-quadratic part, plus the penalty's theta theta^H term.  Row m's
+    gradient is T[:, m] V, with T read off the carriers of the state's E
+    blocks at sweep start; a row's steps d move every row's T by
+    ``row_steps[m] (V^* d)``.  Within a row the coefficient is the row's
+    starting value ``base`` plus the in-row couplings (the strict lower
+    triangle of H[m]) of the steps already taken; the scalar steps run on
+    plain Python complex numbers, and the row is written once at its end
+    unless ``on_update`` needs Q current after every entry.
     """
-    sweep = _Carriers(ctx, state.q, state.x)
-    coupling = sweep.coupling()
     q = state.q
-    theta = state.theta
-    # Only row m's own steps change row m, so its starting entries, their
-    # self-quadratic parts and the penalty terms are known at sweep start.
-    static = (np.outer(theta, theta.conj() / (4.0 * state.rho))
+    n = q.shape[0]
+    v = ctx.factors @ state.x
+    v_conj = v.conj()
+    coupling = in_row_coupling(ctx, v)
+    t = state.lifted(ctx).gradient_rows(state.x)
+    t_flat = t.reshape(-1)
+    # Only row m's own steps change row m, so its self-quadratic parts and
+    # the penalty terms are known at sweep start.
+    static = (np.outer(state.theta, state.theta.conj() / (4.0 * state.rho))
               - q * np.diagonal(coupling, axis1=1, axis2=2))
-    for m, (h_rows, old) in enumerate(zip(coupling.tolist(), q.tolist())):
-        base = (sweep.row_gradient(m) + static[m]).tolist()
+    lower = coupling.reshape(n, -1)[:, _lower_triangle(n)].tolist()
+    row_steps = ctx.row_steps
+    for m, row in enumerate(q.tolist()):
+        # map stops at the end of ``steps`` before drawing from ``h``, so
+        # entry col takes the next col couplings: H[m][col, :col]
+        h = iter(lower[m])
         steps = []
-        for col, h_row in enumerate(h_rows):
-            mu = base[col] + sum(map(mul, steps, h_row))
+        for col, base in enumerate((t[:, m] @ v + static[m]).tolist()):
+            mu = base + sum(map(mul, steps, h))
             if mu == 0:
                 steps.append(0j)
                 continue
+            # exp(i phase), not mu / |mu|: the rounded phase absorbs
+            # last-bit changes of mu, so Q keeps its bits, and with them
+            # the inner stop test, which a tiny distance puts within the
+            # penalty's rounding
             new = cmath.exp(1j * cmath.phase(mu))
-            delta = new - old[col]
-            if delta != 0:
-                q[m, col] = new
-            steps.append(delta)
+            steps.append(new - row[col])
+            row[col] = new
             if on_update is not None:
+                q[m, col] = new
                 on_update()
-        sweep.step_row(m, steps)
+        q[m] = row
+        t_flat += row_steps[m] @ (v_conj @ steps)
+    state.lift = None
     return state
-
-
-def assemble_waveform_matrix(ctx: DistanceContext, q: np.ndarray) -> np.ndarray:
-    """Hermitian matrix Z with x^H Z x = weighted sum distance at fixed Q.
-
-    With E_ij = U_i^T Q U_j^* (M x M), tr(Q^H A_ij Q B_ij) = x^H E_ij^T E_ji^* x.
-    """
-    u = ctx.factors
-    e = np.einsum("ink,jnl->ijkl", u, q @ u.conj())
-    z = np.einsum("ij,ijkm,jikn->mn", ctx.term_weights, e, e.conj())
-    return (z + z.conj().T) / 2.0
 
 
 def dominant_power_vector(z: np.ndarray, power: float) -> np.ndarray:
@@ -288,12 +360,13 @@ def dominant_power_vector(z: np.ndarray, power: float) -> np.ndarray:
 
 
 def update_x(state: OptimizerState, ctx: DistanceContext) -> OptimizerState:
-    """Waveform block: power-saturated dominant eigenvector of Z.
+    """Waveform block: power-saturated dominant eigenvector of Z, built
+    from the E blocks of the current Q.
 
     Keeps the previous waveform when the objective has no x dependence
     (single hypothesis or all-zero weights).
     """
-    z = assemble_waveform_matrix(ctx, state.q)
+    z = state.lifted(ctx).waveform_matrix()
     norm = np.linalg.norm(z)
     if not np.isfinite(norm):
         raise FloatingPointError("waveform matrix is not finite")
@@ -365,37 +438,37 @@ def optimize(ctx: DistanceContext, x_init: np.ndarray, theta_init: np.ndarray,
 
     q = np.outer(theta, theta.conj())
     q = np.exp(1j * np.angle(q))  # exact unit modulus
-    d0 = weighted_distance(ctx, q, x)
-    rho = rho_init if rho_init is not None else 1e-2 * (d0 + 1.0)
-    state = OptimizerState(q=q, theta=theta, x=x, rho=rho,
+    state = OptimizerState(q=q, theta=theta, x=x, rho=rho_init or 1.0,
                            power_budget=power_budget)
+    distance = state.lifted(ctx).distance(x)
+    if rho_init is None:
+        state.rho = 1e-2 * (distance + 1.0)
     state.validate()
 
+    report = None
+    if on_block_update is not None:
+        report = lambda: on_block_update(state.objective(ctx), state.rho)  # noqa: E731
     trace = []
     converged = False
     outer = 0
+    # ``distance`` is the weighted distance at the current (Q, x), read off
+    # the E blocks of the current Q (update_x forms them after each sweep)
     for outer in range(1, outer_cap + 1):
-        prev = state.objective(ctx)
-        if on_block_update is not None:
-            report = lambda: on_block_update(state.objective(ctx), state.rho)  # noqa: E731
+        prev = distance + penalty_value(state.q, state.theta, state.rho)
         for _ in range(inner_cap):
-            if on_block_update is None:
-                update_q(state, ctx)
-                update_x(state, ctx)
-                update_theta(state)
-            else:
-                update_q(state, ctx, on_update=report)
-                update_x(state, ctx)
+            update_q(state, ctx, on_update=report)
+            update_x(state, ctx)
+            if report is not None:
                 report()
-                update_theta(state, on_update=report)
-            cur = state.objective(ctx)
+            update_theta(state, on_update=report)
+            distance = state.lifted(ctx).distance(state.x)
+            cur = distance + penalty_value(state.q, state.theta, state.rho)
             if cur - prev <= inner_tol * abs(prev):
                 prev = cur
                 break
             prev = cur
         xi = constraint_violation(state.q, state.theta)
-        trace.append((outer, state.rho, xi, prev,
-                      weighted_distance(ctx, state.q, state.x)))
+        trace.append((outer, state.rho, xi, prev, distance))
         if xi < accuracy:
             converged = True
             break
@@ -408,11 +481,12 @@ def optimize(ctx: DistanceContext, x_init: np.ndarray, theta_init: np.ndarray,
             sym = (state.q + state.q.conj().T) / 2.0
             nonzero = np.abs(sym) > 1e-30
             state.q = np.where(nonzero, np.exp(1j * np.angle(sym)), state.q)
+            distance = state.lifted(ctx).distance(state.x)
 
     state.validate()
     return WaveformDesign(x=state.x, theta=state.theta,
                           violation=constraint_violation(state.q, state.theta),
                           converged=converged, outer_iterations=outer,
-                          objective=state.objective(ctx),
-                          distance=weighted_distance(ctx, state.q, state.x),
-                          q=state.q, trace=trace)
+                          objective=distance + penalty_value(
+                              state.q, state.theta, state.rho),
+                          distance=distance, q=state.q, trace=trace)

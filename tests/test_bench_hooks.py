@@ -3,8 +3,9 @@
 ``perfbench/instrument.py`` wraps module attributes by name (for example
 ``chanest.refine`` and ``chanest.ls_estimates``), so renaming or inlining
 one of them silently empties a per-layer metric.  These tests install the
-benchmark's spans and recorder hooks on tiny channel-estimation and
-localization campaigns and check that they fired.
+benchmark's spans and recorder hooks on tiny channel-estimation,
+random-arm and optimized-arm localization campaigns and check that they
+fired.
 """
 
 import importlib.util
@@ -86,3 +87,44 @@ def test_localization_fit_spans_fire(monkeypatch):
         assert tracer.calls[name] == 4 * cycles, name
     assert tracer.counters["bqp.dinkelbach_solve.iterations"] == 4 * cycles
     assert tracer.self_s["bqp.quad_binary_max"] > 0
+
+
+def test_design_spans_fire(monkeypatch):
+    instrument = load_instrument(monkeypatch)
+    patcher = instrument.Patcher()
+    original_optimize = waveopt.optimize
+    try:
+        tracer = instrument.Tracer(patcher)
+        instrument.install_spans(
+            tracer, (harness, pilot, chanest, bqp, localize, waveopt))
+        rec = instrument.Recorder()
+        rec.install(patcher, (harness, pilot, localize, waveopt))
+        spec = harness.spec_from_dict({
+            "scene": {"m_antennas": 4, "n_x": 5, "n_y": 2,
+                      "sigma2_dbm": -120.0, "target_rcs_amplitude": 2e-5},
+            "pilot": {"m_t": 1, "snr_db": 40.0},
+            "localization": {"n_grids": 4, "snapshots": 8,
+                             "max_cycles": 3, "threshold": 1.0},
+            "points": [{"arm": "optimized"}],
+            "trials": 1, "master_seed": 2026})
+        harness.run_localization_campaign(spec)
+    finally:
+        patcher.restore()
+    assert waveopt.optimize is original_optimize
+
+    # a design follows every cycle but the last of the trial
+    designed = len(rec.cycles) - 1
+    assert designed == 2
+    assert tracer.calls["waveopt.optimize"] == designed
+    assert tracer.calls["waveopt.build_context"] == designed
+    assert all(c.design is not None for c in rec.cycles[:-1])
+    assert rec.cycles[-1].design is None
+    # one call of each block per inner iteration
+    sweeps = tracer.calls["waveopt.update_q"]
+    assert sweeps >= designed
+    assert tracer.calls["waveopt.update_x"] == sweeps
+    assert tracer.calls["waveopt.update_theta"] == sweeps
+    for name in ("waveopt.optimize", "waveopt.update_q", "waveopt.update_x",
+                 "waveopt.update_theta"):
+        assert tracer.self_s[name] > 0, name
+    assert tracer.counters["waveopt.optimize.outer_iterations"] >= designed

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -460,6 +461,20 @@ def test_partly_used_last_pattern_rejected(m, m_t, n_diffs):
     assert obs.omega_ls.shape[0] == obs.schedule.n_subframes
     with pytest.raises(ValueError, match="partly used last pattern"):
         refine(obs, g0)
+
+
+def test_non_orthogonal_pilots_rejected():
+    # Gaussian pilots give a full-rank pattern whose Gram is not
+    # Kp kron I_{M_t}: the LS layer accepts the round, refinement does not
+    cfg = SceneConfig(m_antennas=5, n_x=3, n_y=2, sigma2_dbm=-120.0)
+    scene = synthesize_scene(cfg, seed=6)
+    sched = build_schedule(5, 2, cfg.n_elements)
+    sched = replace(sched, pilots=crandn(np.random.default_rng(0),
+                                         *sched.pilots.shape))
+    obs = simulate_pilot_round(scene, sched, seed=4)
+    assert np.isfinite(obs.omega_ls).all()
+    with pytest.raises(ValueError, match="orthogonal and of equal power"):
+        refine(obs, scene.G)
 
 
 def test_unequal_pair_counts_rejected():

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from irsloc.harness import (ExperimentSpec, LocalizationParams,
                             run_chanest_campaign, run_localization_campaign,
                             spec_from_dict, write_result)
 from irsloc.scene import SceneConfig, path_loss
+from irsloc.util import crandn
 
 
 def noiseless_scene(**kw):
@@ -190,6 +192,22 @@ def test_schedule_errors_rejected_up_front(monkeypatch, pilot_point, match):
         spec = spec_of(pilot=pilot_p, points=[{"m_t": 1}, pilot_point])
         with pytest.raises(harness.PointRejected, match=match):
             run(spec)
+
+
+def test_non_orthogonal_pilots_rejected_up_front(monkeypatch):
+    # Gaussian pilots: a full-rank pattern whose Gram is not Kp kron I
+    original = harness.pilot.build_schedule
+
+    def gaussian_pilots(*args, **kwargs):
+        sched = original(*args, **kwargs)
+        return replace(sched, pilots=crandn(np.random.default_rng(0),
+                                            *sched.pilots.shape))
+    monkeypatch.setattr(harness.pilot, "build_schedule", gaussian_pilots)
+    cfg = noiseless_scene(m_antennas=5, n_x=3, n_y=2)
+    pilot_p = PilotParams(m_t=2, snr_db=None, pilot_power=1.0)
+    with pytest.raises(harness.PointRejected,
+                       match=r"'m_t': 2.*orthogonal and of equal power"):
+        harness._point_schedule({"m_t": 2}, cfg, pilot_p)
 
 
 def test_schedule_built_once_per_point_and_read_only(monkeypatch):

@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb
 
@@ -370,3 +370,22 @@ def test_schedule_factors_its_pattern_once_read_only():
         assert not arr.flags.writeable
     assert np.allclose(sched.pattern_pinv, np.linalg.pinv(sched.pattern),
                        rtol=0, atol=1e-12 * np.abs(sched.pattern_pinv).max())
+
+
+def test_pattern_gram_refuses_non_orthogonal_pilots():
+    # Gaussian pilots keep the pattern full rank, but the pilots of a
+    # pattern are not orthogonal, so its Gram is not Kp kron I_{M_t}
+    sched = build_schedule(5, 2, 6)
+    bad = replace(sched, pilots=crandn(np.random.default_rng(0),
+                                       *sched.pilots.shape))
+    assert bad.condition_number < 1e10  # the LS layer accepts it
+    with pytest.raises(ValueError, match=r"misses Kp kron I_2 by 0\.\d+"):
+        bad.pattern_gram
+    # built schedules pass, with and without spare patterns
+    for m, m_t, n, extra in ((4, 1, 10, 0), (5, 2, 6, 4), (6, 2, 25, 0),
+                             (6, 3, 20, 9), (7, 4, 2, 0)):
+        sched = build_schedule(m, m_t, n, n_diffs=n * m_t + extra,
+                               pilot_power=3.7)
+        gram = sched.pattern.conj().T @ sched.pattern
+        assert np.allclose(np.kron(sched.pattern_gram, np.eye(m_t)), gram,
+                           rtol=0, atol=1e-12 * np.abs(gram).max())

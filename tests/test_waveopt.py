@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from irsloc.util import crandn, random_unit_modulus, vec
-from irsloc.waveopt import (DistanceContext, OptimizerState,
-                            assemble_waveform_matrix, build_context,
-                            constraint_violation, dominant_power_vector,
-                            optimize, pair_distance, penalty_value,
-                            update_q, update_theta, update_x,
-                            weighted_distance)
+from irsloc.waveopt import (DistanceContext, OptimizerState, _Lift,
+                            build_context, constraint_violation,
+                            dominant_power_vector, in_row_coupling, optimize,
+                            pair_distance, penalty_value, update_q,
+                            update_theta, update_x, weighted_distance)
 
 
 def random_context(rng, n=6, m=3, n_hyp=3, snapshots=8, noise_power=0.5):
@@ -148,13 +147,12 @@ def test_waveform_matrix_matches_literal_traces_on_general_q():
     for _ in range(5):
         ctx = random_context(rng, n=5, m=4, n_hyp=3)
         q, x = general_q(rng, 5), crandn(rng, 4)
-        z = assemble_waveform_matrix(ctx, q)
+        z = _Lift(ctx, q).waveform_matrix()
         want = literal_distance(ctx, q, x, literal_terms(ctx, weighted_pairs(ctx)))
         assert np.real(x.conj() @ z @ x) == pytest.approx(want, rel=1e-9)
 
 
 def test_update_q_gradient_matches_literal_traces_on_general_q():
-    from irsloc.waveopt import _Carriers
     rng = np.random.default_rng(22)
     ctx = random_context(rng, n=6, m=3, n_hyp=3)
     q, x = general_q(rng, 6), crandn(rng, 3)
@@ -164,38 +162,39 @@ def test_update_q_gradient_matches_literal_traces_on_general_q():
     chi = sum(w * np.outer(np.diag(literal_a(ctx, i, j)),
                            np.diag(literal_b(ctx, i, j, x)))
               for w, i, j in terms)
-    sweep = _Carriers(ctx, q, x)
+    v = ctx.factors @ x
+    t = _Lift(ctx, q).gradient_rows(x)
+    got = t.T @ v
     for m, n in ((0, 0), (1, 4), (5, 2)):
-        got = sweep.row_gradient(m)[n]
-        assert abs(got - grad[m, n]) <= 1e-9 * abs(grad[m, n])
-    assert np.allclose(np.diagonal(sweep.coupling(), axis1=1, axis2=2), chi,
-                       rtol=1e-9, atol=0)
-    # after an entry step the carriers track the changed Q
+        assert abs(got[m, n] - grad[m, n]) <= 1e-9 * abs(grad[m, n])
+    assert np.allclose(np.diagonal(in_row_coupling(ctx, v), axis1=1, axis2=2),
+                       chi, rtol=1e-9, atol=0)
+    # after an entry step, row_steps moves the gradient weights of every
+    # row to those of the changed Q
     new_q = q.copy()
     new_q[3, 1] *= np.exp(0.7j)
     steps = np.zeros(6, dtype=complex)
     steps[1] = new_q[3, 1] - q[3, 1]
-    sweep.step_row(3, steps)
+    t.reshape(-1)[:] += ctx.row_steps[3] @ (v.conj() @ steps)
     grad = sum(w * literal_a(ctx, i, j) @ new_q @ literal_b(ctx, i, j, x)
                for w, i, j in terms)
-    got = sweep.row_gradient(2)[5]
-    assert abs(got - grad[2, 5]) <= 1e-9 * abs(grad[2, 5])
-    assert sweep.distance() == pytest.approx(
+    got = t.T @ v
+    assert np.abs(got - grad).max() <= 1e-9 * np.abs(grad).max()
+    assert _Lift(ctx, new_q).distance(x) == pytest.approx(
         literal_distance(ctx, new_q, x, terms), rel=1e-9)
 
 
 def test_in_row_coupling_matches_literal_traces():
     """H[m][n, n'] = sum w A_ij[m, m] B_ij[n', n], diagonal chi[m, n]."""
-    from irsloc.waveopt import _Carriers
     rng = np.random.default_rng(23)
     for n_el, m_ant, n_hyp in ((5, 3, 3), (4, 2, 4), (1, 3, 2)):
         ctx = random_context(rng, n=n_el, m=m_ant, n_hyp=n_hyp)
-        q, x = general_q(rng, n_el), crandn(rng, m_ant)
+        x = crandn(rng, m_ant)
         terms = literal_terms(ctx, weighted_pairs(ctx))
         want = sum(w * np.diag(literal_a(ctx, i, j))[:, None, None]
                    * literal_b(ctx, i, j, x).T[None]
                    for w, i, j in terms)
-        got = _Carriers(ctx, q, x).coupling()
+        got = in_row_coupling(ctx, ctx.factors @ x)
         assert got.shape == (n_el, n_el, n_el)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         chi = sum(w * np.outer(np.diag(literal_a(ctx, i, j)),
@@ -203,6 +202,51 @@ def test_in_row_coupling_matches_literal_traces():
                   for w, i, j in terms)
         assert np.abs(np.diagonal(got, axis1=1, axis2=2) - chi).max() \
             <= 1e-12 * np.abs(chi).max()
+
+
+def oracle_carriers(ctx, q, x):
+    """C_ij = U_i^T Q v_j^* straight from the factors (I x I x M)."""
+    v = ctx.factors @ x
+    return np.einsum("inm,jn->ijm", ctx.factors, v.conj() @ q.T)
+
+
+def oracle_distance(ctx, q, x):
+    """sum_ij W_ij C_ji^H C_ij from freshly formed carriers."""
+    c = oracle_carriers(ctx, q, x)
+    return float(np.real(np.einsum("ij,jim,ijm->", ctx.term_weights,
+                                   c.conj(), c)))
+
+
+def oracle_waveform_matrix(ctx, q):
+    """Z = sum_ij W_ij E_ij^T E_ji^* by two einsums over E_ij = U_i^T Q U_j^*."""
+    u = ctx.factors
+    e = np.einsum("ink,jnl->ijkl", u, q @ u.conj())
+    z = np.einsum("ij,ijkm,jikn->mn", ctx.term_weights, e, e.conj())
+    return (z + z.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n, m, n_hyp", [(1, 3, 2), (5, 4, 3), (10, 4, 4),
+                                         (20, 6, 4)])
+def test_lift_matches_einsum_forms(n, m, n_hyp):
+    """Carriers, distance, gradient weights and Z read off one E agree with
+    their direct einsum forms."""
+    rng = np.random.default_rng(60 + n)
+    ctx = random_context(rng, n=n, m=m, n_hyp=n_hyp)
+    q, x = general_q(rng, n), crandn(rng, m)
+    lift = _Lift(ctx, q)
+    c = oracle_carriers(ctx, q, x)
+    assert np.abs(lift.carriers(x) - c).max() <= 1e-12 * np.abs(c).max()
+    assert lift.distance(x) == pytest.approx(oracle_distance(ctx, q, x),
+                                             rel=1e-12)
+    z, want = lift.waveform_matrix(), oracle_waveform_matrix(ctx, q)
+    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(z, z.conj().T)
+    # T^T V is the Q-gradient of the carriers' distance
+    v = ctx.factors @ x
+    t = np.einsum("ij,in,jmk,ijk->mn", ctx.term_weights, v,
+                  ctx.factors.conj(), c)
+    got = lift.gradient_rows(x).T @ v
+    assert np.abs(got - t).max() <= 1e-12 * np.abs(t).max()
 
 
 # ------------------------------------------------------------- Q updates
@@ -247,11 +291,10 @@ def test_update_q_entry_matches_phase_grid():
                            power_budget=state.power_budget)
     # sweep only entry (m, n): emulate by running the full sweep but
     # capturing the entry's optimized value through a targeted evaluation
-    from irsloc.waveopt import _Carriers
-    sweep = _Carriers(ctx, probe.q, probe.x)
-    mu = sweep.row_gradient(m)[n]
+    v = ctx.factors @ probe.x
+    mu = (_Lift(ctx, probe.q).gradient_rows(probe.x).T @ v)[m, n]
     mu += probe.theta[m] * np.conj(probe.theta[n]) / (4 * probe.rho)
-    mu -= probe.q[m, n] * sweep.coupling()[m, n, n]
+    mu -= probe.q[m, n] * in_row_coupling(ctx, v)[m, n, n]
     closed = objective_with_phase(float(np.angle(mu)))
     scale = max(1.0, abs(grid_best))
     assert closed >= grid_best - 1e-9 * scale
@@ -302,12 +345,17 @@ def test_update_q_matches_per_entry_oracle(n):
     state = make_state(rng, ctx)
     state.q = general_q(rng, n)  # non-Hermitian, far from a rank-one lift
     oracle = copy_state(state)
+    probe = crandn(rng, n)
     calls, oracle_calls = [], []
     for _ in range(4):
-        update_q(state, ctx, on_update=lambda: calls.append(1))
-        oracle_update_q(oracle, ctx, on_update=lambda: oracle_calls.append(1))
+        update_q(state, ctx, on_update=lambda: calls.append(state.q @ probe))
+        oracle_update_q(
+            oracle, ctx, on_update=lambda: oracle_calls.append(oracle.q @ probe))
         assert np.abs(state.q - oracle.q).max() <= 1e-12
     assert len(calls) == len(oracle_calls) == 4 * n * n
+    # the callback sees Q current after every entry, as in the oracle
+    assert np.abs(np.array(calls) - oracle_calls).max() \
+        <= 1e-11 * np.abs(probe).sum()
     # a zero coefficient skips the entry and its callback, as in the oracle
     flat = DistanceContext(channels=ctx.channels, steering=ctx.steering,
                            alphas=ctx.alphas, weights=np.zeros_like(ctx.weights),
@@ -361,7 +409,7 @@ def test_update_x_saturates_power_and_improves():
     rng = np.random.default_rng(5)
     ctx = random_context(rng)
     state = make_state(rng, ctx, power=9.0)
-    z = assemble_waveform_matrix(ctx, state.q)
+    z = _Lift(ctx, state.q).waveform_matrix()
     before = np.real(state.x.conj() @ z @ state.x)
     update_x(state, ctx)
     after = np.real(state.x.conj() @ z @ state.x)
@@ -437,6 +485,71 @@ def test_optimize_blockwise_monotone_within_stage():
             if val_b < val_a - 1e-9 * max(1.0, abs(val_a)):
                 violations += 1
     assert violations == 0
+
+
+def oracle_optimize(ctx, x_init, theta_init, power_budget, accuracy=1e-7,
+                    penalty_scale=0.5, inner_tol=1e-6, outer_cap=60,
+                    inner_cap=100):
+    """The penalty method as it ran before the E blocks were shared: the
+    per-entry Q sweep, the einsum waveform matrix, the numpy-scalar theta
+    sweep, and every objective evaluated from freshly formed carriers."""
+    theta = np.exp(1j * np.angle(np.asarray(theta_init, dtype=complex)))
+    x = np.sqrt(power_budget) * x_init / np.linalg.norm(x_init)
+    q = np.exp(1j * np.angle(np.outer(theta, theta.conj())))
+    state = OptimizerState(q=q, theta=theta, x=x, power_budget=power_budget,
+                           rho=1e-2 * (oracle_distance(ctx, q, x) + 1.0))
+
+    def objective():
+        return oracle_distance(ctx, state.q, state.x) \
+            + penalty_value(state.q, state.theta, state.rho)
+
+    trace, converged = [], False
+    for outer in range(1, outer_cap + 1):
+        prev = objective()
+        for _ in range(inner_cap):
+            oracle_update_q(state, ctx)
+            z = oracle_waveform_matrix(ctx, state.q)
+            if np.linalg.norm(z) > 0:
+                state.x = dominant_power_vector(z, power_budget)
+            oracle_update_theta(state)
+            cur = objective()
+            if cur - prev <= inner_tol * abs(prev):
+                prev = cur
+                break
+            prev = cur
+        xi = constraint_violation(state.q, state.theta)
+        trace.append((outer, state.rho, xi, prev,
+                      oracle_distance(ctx, state.q, state.x)))
+        if xi < accuracy:
+            converged = True
+            break
+        state.rho *= penalty_scale
+        if np.abs(state.q - state.q.conj().T).max() > 1e-9:
+            sym = (state.q + state.q.conj().T) / 2.0
+            state.q = np.where(np.abs(sym) > 1e-30, np.exp(1j * np.angle(sym)),
+                               state.q)
+    return state, outer, converged, trace
+
+
+# 15 penalty stages; 3 stages that each run to inner_cap; 20 stages
+@pytest.mark.parametrize("n, seed, noise_power", [(10, 82, 1e2), (10, 83, 1e4),
+                                                  (20, 81, 1e2)])
+def test_optimize_matches_oracle(n, seed, noise_power):
+    """The shared-E design loop reproduces the per-entry oracle's design."""
+    rng = np.random.default_rng(seed)
+    ctx = random_context(rng, n=n, m=4, n_hyp=4, noise_power=noise_power)
+    theta0, x0 = random_unit_modulus(rng, n), crandn(rng, 4)
+    design = optimize(ctx, x0, theta0, power_budget=4.0)
+    state, outer, converged, trace = oracle_optimize(ctx, x0, theta0, 4.0)
+    assert design.outer_iterations == outer
+    assert design.converged == converged
+    assert len(design.trace) == len(trace)
+    assert np.abs(design.theta - state.theta).max() <= 1e-10
+    assert np.abs(design.x - state.x).max() <= 1e-10
+    for got, want in zip(design.trace, trace):
+        assert got[0] == want[0]
+        assert np.allclose(got[1:], want[1:], rtol=1e-9, atol=1e-12)
+    assert design.distance == pytest.approx(trace[-1][4], rel=1e-9)
 
 
 def test_optimize_invariant_to_distance_scale():

@@ -18,8 +18,8 @@ from irsloc.util import random_unit_modulus
 cfg = SceneConfig(m_antennas=4, n_x=5, n_y=2, sigma2_dbm=-120.0,
                   target_rcs_amplitude=2e-5)
 scene = synthesize_scene(cfg, seed=4)
-print(f"target at ({cfg.target_range_m} m, {cfg.target_theta_deg} deg, "
-      f"{cfg.target_phi_deg} deg) w.r.t. the IRS center")
+print(f"target in the ({cfg.target_theta_deg} deg, {cfg.target_phi_deg} deg) "
+      f"direction from the IRS center")
 
 # ---- stage 1: pilot-based channel estimation ------------------------------
 

@@ -167,7 +167,6 @@ class ChannelEstimate:
     iterations_run: int
     final_objective: float
     converged: bool
-    sign_ambiguous: bool = True
     objective_trace: np.ndarray = field(repr=False, default=None)
     update_objectives: np.ndarray = field(repr=False, default=None)
     ne_trace: np.ndarray = field(repr=False, default=None)
@@ -311,13 +310,12 @@ def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,
         ne_trace=None if ne_trace is None else np.asarray(ne_trace))
 
 
-def estimate_channel(obs: ObservationSet, anchor: int = 0,
-                     max_sweeps: int = 300, tol: float = 1e-8,
-                     **refine_kwargs) -> ChannelEstimate:
-    """Full estimation pipeline: products -> initialization -> refinement."""
-    h_bar = pairwise_products(obs)
-    g0 = initialize(h_bar, anchor=anchor)
-    return refine(obs, g0, max_sweeps=max_sweeps, tol=tol, **refine_kwargs)
+def estimate_channel(obs: ObservationSet,
+                     g_true: np.ndarray | None = None) -> ChannelEstimate:
+    """Full estimation pipeline: products -> initialization -> refinement,
+    at the defaults of ``initialize`` and ``refine``; with ``g_true`` the
+    estimate records its per-sweep normalized error."""
+    return refine(obs, initialize(pairwise_products(obs)), g_true=g_true)
 
 
 def normalized_error(g_hat: np.ndarray, g_true: np.ndarray) -> float:

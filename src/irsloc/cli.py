@@ -9,7 +9,7 @@ Subcommands
 ``waveopt-trace``  one waveform/phase design run with a penalty trace
 
 Campaign configs are JSON documents mirroring the experiment spec
-(sections ``scene``, ``pilot``, ``localization``, ``optimizer`` plus
+(sections ``scene``, ``pilot``, ``localization`` plus
 ``sweep``/``points``, ``trials``, ``master_seed``); unknown keys are
 rejected.  ``bqp-solve`` and ``waveopt-trace`` take small dedicated
 configs documented in the README.  Exit codes: 0 success, 2 usage or

@@ -46,9 +46,6 @@ class PilotParams:
     n_diffs: int | None = None       # None: identifiability minimum N * M_t
     snr_db: float | None = 15.0      # received SNR defining the pilot power
     pilot_power: float | None = None  # overrides snr_db when given
-    anchor: int = 0
-    max_sweeps: int = 300
-    tol: float = 1e-8
 
 
 @dataclass
@@ -67,25 +64,12 @@ class LocalizationParams:
 
 
 @dataclass
-class OptimizerParams:
-    """Penalty / BCD settings for the waveform designer."""
-
-    accuracy: float = 1e-7
-    penalty_scale: float = 0.5
-    inner_tol: float = 1e-6
-    outer_cap: int = 60
-    inner_cap: int = 100
-    rho_init: float | None = None
-
-
-@dataclass
 class ExperimentSpec:
     """One campaign: base configuration, sweep axes, trial budget."""
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     pilot: PilotParams = field(default_factory=PilotParams)
     localization: LocalizationParams = field(default_factory=LocalizationParams)
-    optimizer: OptimizerParams = field(default_factory=OptimizerParams)
     sweep: dict = field(default_factory=dict)
     points: list | None = None       # explicit sweep points; overrides sweep
     trials: int = 30
@@ -228,16 +212,14 @@ class ExperimentResult:
     resolved_spec: dict = field(default_factory=dict)
 
 
-def estimate_channel_once(cfg: SceneConfig, params: PilotParams,
-                          sched: pilot.PilotSchedule, seed_scene, seed_noise,
-                          g_true_trace: bool = False):
+def estimate_channel_once(cfg: SceneConfig, sched: pilot.PilotSchedule,
+                          seed_scene, seed_noise, g_true_trace: bool = False):
     """One pilot round over ``sched`` plus estimation; returns (scene,
     estimate, ne)."""
     scene = synthesize_scene(cfg, seed=seed_scene)
     obs = pilot.simulate_pilot_round(scene, sched, seed=seed_noise)
     est = chanest.estimate_channel(
-        obs, anchor=params.anchor, max_sweeps=params.max_sweeps,
-        tol=params.tol, g_true=scene.G if g_true_trace else None)
+        obs, g_true=scene.G if g_true_trace else None)
     ne = chanest.normalized_error(est.g_hat, scene.G)
     return scene, est, ne
 
@@ -253,7 +235,7 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
             seed_scene = derive_seed(spec.master_seed, "scene", key, trial)
             seed_noise = derive_seed(spec.master_seed, "pilot", key, trial)
             _, est, ne = estimate_channel_once(
-                cfg, pilot_p, sched, seed_scene, seed_noise,
+                cfg, sched, seed_scene, seed_noise,
                 g_true_trace=spec.record_convergence)
             errors.append(ne)
             trial_rows.append({**point, "trial": trial, "ne": ne,
@@ -279,15 +261,12 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
                             resolved_spec=dataclasses.asdict(spec))
 
 
-def run_localization_trial(cfg: SceneConfig, pilot_p: PilotParams,
-                           sched: pilot.PilotSchedule,
-                           loc_p: LocalizationParams,
-                           opt_p: OptimizerParams, master_seed, key, trial):
+def run_localization_trial(cfg: SceneConfig, sched: pilot.PilotSchedule,
+                           loc_p: LocalizationParams, master_seed, key, trial):
     """Full pipeline for one channel realization; returns trial records."""
     seed_scene = derive_seed(master_seed, "scene", key, trial)
     seed_noise = derive_seed(master_seed, "pilot", key, trial)
-    scene, est, ne = estimate_channel_once(cfg, pilot_p, sched, seed_scene,
-                                           seed_noise)
+    scene, est, ne = estimate_channel_once(cfg, sched, seed_scene, seed_noise)
     g_hat = est.g_hat
 
     grid = localize.build_hypothesis_grid(
@@ -312,24 +291,22 @@ def run_localization_trial(cfg: SceneConfig, pilot_p: PilotParams,
         cycle_records.append({
             "cycle": belief.cycle, "probs": belief.probs.copy(),
             "residuals": diag.residuals.copy(),
-            "gammas": np.abs(diag.gammas), "alphas": np.abs(diag.alphas),
+            "gammas": np.abs(belief.gammas), "alphas": np.abs(belief.alphas),
             "correct": belief.argmax == true_hyp})
-        if cycles_to_threshold is None \
-                and belief.probs.max() >= loc_p.threshold:
+        if cycles_to_threshold is None:
             # the protocol decision is the first threshold crossing; the
             # simulation keeps cycling so the per-cycle curves stay honest
-            cycles_to_threshold = belief.cycle
-            winner = belief.argmax
+            decision = localize.check_termination(belief, g_hat,
+                                                  loc_p.threshold)
+            if decision.terminated:
+                cycles_to_threshold = belief.cycle
+                winner = decision.winner
         if cycle + 1 >= loc_p.max_cycles:
             break
         if loc_p.optimize_waveform:
             ctx = waveopt.build_context(g_hat, belief, grid, loc_p.snapshots,
                                         cfg.noise_power)
-            design = waveopt.optimize(
-                ctx, x, theta, loc_p.power_budget,
-                accuracy=opt_p.accuracy, penalty_scale=opt_p.penalty_scale,
-                inner_tol=opt_p.inner_tol, outer_cap=opt_p.outer_cap,
-                inner_cap=opt_p.inner_cap, rho_init=opt_p.rho_init)
+            design = waveopt.optimize(ctx, x, theta, loc_p.power_budget)
             x, theta = design.x, design.theta
         else:
             rng_c = np.random.default_rng(
@@ -349,15 +326,14 @@ def run_localization_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Correct-localization probability per cycle and threshold statistics."""
     spec.validate()
     point_rows, trial_rows, curve_rows, diag_rows = [], [], [], []
-    for point, cfg, pilot_p, loc_p, sched in _resolve_points(spec, localization=True):
+    for point, cfg, _, loc_p, sched in _resolve_points(spec, localization=True):
         key = point_key(point)
         max_cycles = loc_p.max_cycles
         correct = np.zeros((spec.trials, max_cycles), dtype=bool)
         top_prob = np.zeros((spec.trials, max_cycles))
         hits, hit_cycles = [], []
         for trial in range(spec.trials):
-            rec = run_localization_trial(cfg, pilot_p, sched, loc_p,
-                                         spec.optimizer, spec.master_seed,
+            rec = run_localization_trial(cfg, sched, loc_p, spec.master_seed,
                                          key, trial)
             for c, cyc in enumerate(rec["cycles"]):
                 correct[trial, c] = cyc["correct"]
@@ -467,9 +443,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from a JSON document; unknown keys error."""
     if not isinstance(data, dict):
         raise ValueError("config root must be an object")
-    known = {"scene", "pilot", "localization", "optimizer", "sweep",
-             "points", "trials", "master_seed", "record_convergence"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(ExperimentSpec)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
 
@@ -491,7 +465,6 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         scene=build(SceneConfig, "scene"),
         pilot=build(PilotParams, "pilot"),
         localization=build(LocalizationParams, "localization"),
-        optimizer=build(OptimizerParams, "optimizer"),
         sweep=data.get("sweep", {}),
         points=data.get("points"),
         trials=data.get("trials", 30),

@@ -186,7 +186,6 @@ class JointMlFit:
     gamma: complex
     delta: np.ndarray
     residual: float
-    ratio: float
 
 
 def joint_ml(y: np.ndarray, phi: np.ndarray,
@@ -203,8 +202,7 @@ def joint_ml(y: np.ndarray, phi: np.ndarray,
     res = dinkelbach_solve(prob, delta_init=delta_init)
     gamma = estimate_gamma(phi, res.delta, y)
     residual = float(np.linalg.norm(y - gamma * (phi @ res.delta)) ** 2)
-    return JointMlFit(gamma=gamma, delta=res.delta, residual=residual,
-                      ratio=res.ratio)
+    return JointMlFit(gamma=gamma, delta=res.delta, residual=residual)
 
 
 def bayes_update(probs: np.ndarray, residuals: np.ndarray,
@@ -265,8 +263,6 @@ class CycleDiagnostics:
 
     io: CycleIO = field(repr=False, default=None)
     residuals: np.ndarray = None
-    gammas: np.ndarray = None
-    alphas: np.ndarray = None
     alpha_ok: np.ndarray = None
 
 
@@ -312,8 +308,7 @@ def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
                              underflow=underflow)
     new_belief.validate()
     diag = CycleDiagnostics(io=CycleIO(x=x, theta=theta, y=y, snapshots=snapshots),
-                            residuals=residuals, gammas=gammas, alphas=alphas,
-                            alpha_ok=alpha_ok)
+                            residuals=residuals, alpha_ok=alpha_ok)
     return new_belief, diag
 
 

@@ -16,7 +16,7 @@ a = a_x kron a_y used throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,12 @@ class SceneConfig:
 
     Distances are meters, angles degrees, powers in the dB units indicated
     by the field names.  Defaults mirror the reference deployment: IRS
-    centered at the origin in the x-y plane, BS at (0, 3, 3), target at
-    range 7.5 m / (60 deg, 270 deg links) from the IRS center, carrier
-    wavelength 0.06 m with half-wavelength element spacing.
+    centered at the origin in the x-y plane, BS at (0, 3, 3), target in the
+    (60 deg, 270 deg) direction from the IRS center, carrier wavelength
+    0.06 m with half-wavelength element spacing.  The target range enters
+    only through ``target_rcs_amplitude``, which sets |alpha| and so
+    absorbs the IRS-target round-trip attenuation.  The random draws of a
+    scene come from the seed given to :func:`synthesize_scene`.
     """
 
     m_antennas: int = 4
@@ -42,7 +45,6 @@ class SceneConfig:
     d_y: float = 0.03
     bs_position: tuple[float, float, float] = (0.0, 3.0, 3.0)
     irs_center: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    target_range_m: float = 7.5
     target_theta_deg: float = 60.0
     target_phi_deg: float = 270.0
     c0_db: float = -30.0
@@ -52,14 +54,13 @@ class SceneConfig:
     sigma2_si_db: float = -10.0
     sigma2_ref_db: float = -10.0
     target_rcs_amplitude: float = 1.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.m_antennas < 2:
             raise ValueError("need at least 2 BS antennas (one Tx + one Rx)")
         if self.n_x < 1 or self.n_y < 1:
             raise ValueError("IRS element counts must be >= 1")
-        for name in ("lambda_c", "d_x", "d_y", "target_range_m", "d0_m"):
+        for name in ("lambda_c", "d_x", "d_y", "d0_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -136,7 +137,6 @@ class Scene:
     G: np.ndarray
     a: np.ndarray
     alpha: complex
-    bs_irs_gain: float = field(repr=False, default=0.0)
 
     @property
     def target_angles_rad(self) -> tuple[float, float]:
@@ -144,19 +144,19 @@ class Scene:
                 np.deg2rad(self.config.target_phi_deg))
 
 
-def synthesize_scene(config: SceneConfig, seed=None) -> Scene:
+def synthesize_scene(config: SceneConfig, seed) -> Scene:
     """Draw a scene realization; deterministic given (config, seed).
 
     G entries are i.i.d. CN(0, path_loss(d_bs_irs)) (Rayleigh small-scale
     fading), the steering vector points at the configured target angles,
     and alpha has the configured amplitude with phase uniform in [0, 2 pi).
-    ``seed=None`` falls back to ``config.rng_seed``.
+    ``seed`` is an int seed or a ``numpy.random.Generator``.
     """
-    rng = as_rng(config.rng_seed if seed is None else seed)
+    rng = as_rng(seed)
     gain = path_loss(config.bs_irs_distance, config.c0_db, config.d0_m,
                      config.alpha0)
     G = np.sqrt(gain) * crandn(rng, config.n_elements, config.m_antennas)
     theta, phi = np.deg2rad(config.target_theta_deg), np.deg2rad(config.target_phi_deg)
     a = steering_vector(theta, phi, config)
     alpha = config.target_rcs_amplitude * np.exp(2j * np.pi * rng.random())
-    return Scene(config=config, G=G, a=a, alpha=complex(alpha), bs_irs_gain=gain)
+    return Scene(config=config, G=G, a=a, alpha=complex(alpha))

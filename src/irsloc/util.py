@@ -21,11 +21,6 @@ def db2lin(x_db: float) -> float:
     return float(10.0 ** (x_db / 10.0))
 
 
-def lin2db(x: float) -> float:
-    """dB from a (positive) linear power ratio."""
-    return float(10.0 * np.log10(x))
-
-
 def dbm2watt(x_dbm: float) -> float:
     """Transmit/noise power in watts from dBm."""
     return float(10.0 ** ((x_dbm - 30.0) / 10.0))

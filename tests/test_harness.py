@@ -1,15 +1,18 @@
+import importlib.util
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irsloc import harness
-from irsloc.harness import (ExperimentSpec, LocalizationParams,
-                            OptimizerParams, PilotParams, apply_desk_scale,
-                            pilot_power_for, point_key, resolve_point,
-                            run_chanest_campaign, run_localization_campaign,
-                            spec_from_dict, write_result)
+from irsloc.harness import (ExperimentSpec, LocalizationParams, PilotParams,
+                            apply_desk_scale, pilot_power_for, point_key,
+                            resolve_point, run_chanest_campaign,
+                            run_localization_campaign, spec_from_dict,
+                            write_result)
 from irsloc.scene import SceneConfig, path_loss
 from irsloc.util import crandn
 
@@ -117,7 +120,6 @@ def localization_spec(**kw):
         localization=LocalizationParams(
             n_grids=3, snapshots=4, power_budget=4.0, max_cycles=3,
             optimize_waveform=False),
-        optimizer=OptimizerParams(outer_cap=10),
         trials=2, master_seed=3)
     base.update(kw)
     return ExperimentSpec(**base)
@@ -277,6 +279,43 @@ def test_spec_from_dict_strict():
         spec_from_dict({"scene": {"not_a_field": 1}})
     with pytest.raises(ValueError):
         spec_from_dict({"pilot": {"typo_snr": 1.0}})
+    # the refinement and design settings are library defaults, and the
+    # scene's random draws come from the campaign's derived seeds
+    with pytest.raises(ValueError, match=r"unknown config keys: \['optimizer'\]"):
+        spec_from_dict({"optimizer": {"accuracy": 1e-7}})
+    for section, key, value in (("pilot", "anchor", 0),
+                                ("pilot", "max_sweeps", 300),
+                                ("pilot", "tol", 1e-8),
+                                ("scene", "target_range_m", 7.5),
+                                ("scene", "rng_seed", 0)):
+        with pytest.raises(ValueError,
+                           match=rf"unknown keys in '{section}': \['{key}'\]"):
+            spec_from_dict({section: {key: value}})
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _campaign_configs() -> dict:
+    """Every shipped config and benchmark workload config, by name."""
+    configs = {path.name: json.loads(path.read_text(encoding="utf-8"))
+               for path in (ROOT / "configs").glob("*.json")}
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    configs.update({f"perfbench_{name}": w.config()
+                    for name, w in module.WORKLOADS.items()})
+    return configs
+
+
+CAMPAIGN_CONFIGS = _campaign_configs()
+
+
+@pytest.mark.parametrize("name", sorted(CAMPAIGN_CONFIGS))
+def test_campaign_config_loads(name):
+    spec_from_dict(CAMPAIGN_CONFIGS[name])
 
 
 def test_desk_scale_preset():

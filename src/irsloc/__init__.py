@@ -13,7 +13,8 @@ Library layout:
 * :mod:`irsloc.localize` -- per-cycle Bayesian multi-hypothesis
   localization engine;
 * :mod:`irsloc.waveopt` -- joint transmit-waveform / IRS-phase design by
-  penalty method and block coordinate descent;
+  exact element-wise phase ascent (the paper's penalty method kept as the
+  reference);
 * :mod:`irsloc.harness` -- reproducible Monte Carlo experiment campaigns;
 * :mod:`irsloc.cli` -- command-line front end.
 """

@@ -6,7 +6,9 @@ Subcommands
 ``localize``       localization campaign (correct-probability curves)
 ``full-pipeline``  both stages of the protocol on one configuration
 ``bqp-solve``      one sign-vector ratio problem, solved and cross-checked
-``waveopt-trace``  one waveform/phase design run with a penalty trace
+``waveopt-trace``  one run of the paper's penalty-method waveform/phase
+                   design (the reference for the campaigns' theta-domain
+                   ascent), one trace row per penalty stage
 
 Campaign configs are JSON documents mirroring the experiment spec
 (sections ``scene``, ``pilot``, ``localization`` plus
@@ -54,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("localize", "run a localization campaign"),
             ("full-pipeline", "run channel estimation plus localization"),
             ("bqp-solve", "solve one sign-vector ratio problem"),
-            ("waveopt-trace", "trace one waveform/IRS-phase design run")):
+            ("waveopt-trace",
+             "trace one design run of the reference penalty method")):
         _add_common(sub.add_parser(name, help=text))
     return parser
 
@@ -177,7 +180,7 @@ def cmd_waveopt_trace(args) -> int:
         alphas=crandn(rng, n_hyp), weights=waveopt.pair_weights(probs),
         snapshots=int(cfg["snapshots"]),
         noise_power=float(cfg["noise_power"]))
-    design = waveopt.optimize(
+    design = waveopt.penalty_optimize(
         ctx, crandn(rng, m), random_unit_modulus(rng, n),
         power_budget=float(cfg["power_budget"]),
         accuracy=float(cfg["accuracy"]),

@@ -2,10 +2,38 @@
 
 The design maximizes the weighted sum of pairwise inter-hypothesis
 distances (symmetrized relative entropy between the Gaussian echo laws,
-which reduces to scaled squared mean differences).  With the IRS phases
-shared between transmission and reception the distance is quartic in the
-phase vector theta, so the problem is lifted: Q = theta theta^H turns each
-distance into
+which reduces to scaled squared mean differences).  With the hypothesis
+factors U_i = diag(a_i) G_i (N x M), hypothesis i's echo mean is
+alpha_i s_i b_i with the carriers
+
+    b_i = U_i^T theta (M),    s_i = v_i^T theta,    v_i = U_i x,
+
+so the weighted distance is
+
+    D(theta, x) = sum_ij W_ij s_i s_j^* (b_j^H b_i)
+
+for one Hermitian I x I term-weight matrix W (I hypotheses; the scale
+L / sigma^2, the pair priorities and the alpha products folded in).  D is
+quartic in the IRS phase vector theta, because theta enters both the
+transmit and the receive leg.
+
+``optimize`` is an exact element-wise ascent in the theta domain.  With
+every other element fixed, the carriers are affine in theta_n = z, so on
+the unit circle D = c0 + 2 Re(c1 z + c2 z^2), a degree-2 trigonometric
+polynomial whose coefficients are a few I x I / I x M products of the
+split carriers.  Its maximizer is a unit-circle root of
+2 c2 z^4 + c1 z^3 - c1^* z - 2 c2^* = 0; a Newton iteration on the phase
+from the current z finds it, and a stationary z is the global maximizer
+exactly when Re(c1 z + 2 c2 z^2) >= 2 |c2| (D(z) - D(z') then factors as
+|z - z'|^2 times a degree-1 polynomial that is nonnegative on the circle).
+Elements the test does not certify take the best of the quartic's roots.
+A round is N element updates followed by the waveform update, the
+power-saturated dominant eigenvector of the M x M matrix Z with
+x^H Z x = D; every step, and so every round, never decreases D, and the
+design stops once a round raises D by less than ``accuracy`` relative.
+
+``penalty_optimize`` is the paper's method, kept as the reference.  It
+lifts Q = theta theta^H, which turns each distance into
 
     phi_ij = s (|a_i|^2 tr(Q^H A_ii Q B_ii)
               - 2 Re{a_i a_j^* tr(Q^H A_ij Q B_ij)}
@@ -13,17 +41,16 @@ distance into
 
 with A_ij fixed per hypothesis pair and B_ij rank-one in the waveform x.
 
-Neither matrix is formed.  With the hypothesis factors U_i = diag(a_i) G_i
-(N x M), A_ij = U_j^* U_i^T has rank at most M and B_ij = v_j^* v_i^T with
-v_i = U_i x, so every trace is an inner product of M-vector carriers,
+Neither matrix is formed.  A_ij = U_j^* U_i^T has rank at most M and
+B_ij = v_j^* v_i^T, so every trace is an inner product of M-vector
+carriers,
 
     tr(Q^H A_ij Q B_ij) = C_ji^H C_ij,    C_ij = U_i^T Q v_j^* = E_ij x^*,
 
 with E_ij = U_i^T Q U_j^* (M x M), and the weighted sum of all distances
-is sum_ij W_ij C_ji^H C_ij for one Hermitian I x I term-weight matrix W
-(I hypotheses; scale, pair priorities and alpha products folded in).
-One product of the stacked factors with Q forms every E_ij, at
-O(I M N^2 + I^2 M^2 N), against O(N^4) per trace term for the dense form.
+is sum_ij W_ij C_ji^H C_ij.  One product of the stacked factors with Q
+forms every E_ij, at O(I M N^2 + I^2 M^2 N), against O(N^4) per trace term
+for the dense form.
 
 An inner iteration forms the E blocks once, for the Q its sweep leaves,
 and every block after the sweep reads them:
@@ -69,8 +96,9 @@ unaffected by the positive rescaling.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 import numpy as np
@@ -92,12 +120,15 @@ class DistanceContext:
     sum_ij W_ij tr(Q^H A_ij Q B_ij) (self terms W_ii = s |alpha_i|^2
     sum_{j != i} w_ij of every pair hypothesis i belongs to, cross terms
     W_ij = -s w_ij alpha_i alpha_j^* for i < j and W_ji = W_ij^*).
-    ``gradient_weights[i, m]`` holds W_ij U_j[m]^* flattened over (j, k)
-    (I x N x I M): the weights of row m's gradient.  ``row_steps[a]`` holds
-    W_ij (U_i[a] . U_j[b]^*) at [i N + b, j] (N x I N x I): how a step of
-    Q's row a moves the gradient weights of every row b.  Its diagonal
-    blocks ``row_coupling[m]`` = W o A_m (N x I x I), with
-    A_m[i, j] = U_i[m] . U_j[m]^*, weigh Q's in-row coupling.
+
+    The Q sweep of ``penalty_optimize`` reads three more tables, built on
+    first use: ``gradient_weights[i, m]`` holds W_ij U_j[m]^* flattened
+    over (j, k) (I x N x I M): the weights of row m's gradient.
+    ``row_steps[a]`` holds W_ij (U_i[a] . U_j[b]^*) at [i N + b, j]
+    (N x I N x I): how a step of Q's row a moves the gradient weights of
+    every row b.  Its diagonal blocks ``row_coupling[m]`` = W o A_m
+    (N x I x I), with A_m[i, j] = U_i[m] . U_j[m]^*, weigh Q's in-row
+    coupling.
     """
 
     channels: list
@@ -109,9 +140,6 @@ class DistanceContext:
     factors: np.ndarray = field(init=False, repr=False)
     stacked: np.ndarray = field(init=False, repr=False)
     term_weights: np.ndarray = field(init=False, repr=False)
-    gradient_weights: np.ndarray = field(init=False, repr=False)
-    row_steps: np.ndarray = field(init=False, repr=False)
-    row_coupling: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_hyp = len(self.channels)
@@ -126,16 +154,27 @@ class DistanceContext:
         self.factors = u
         self.stacked = u.transpose(0, 2, 1).reshape(-1, self.n_elements)
         self.term_weights = w
-        n = self.n_elements
-        by_row = u.transpose(1, 0, 2)  # (N, I, M): U_i[a]
-        self.gradient_weights = (w[:, None, :, None] * by_row.conj()
-                                 ).reshape(n_hyp, n, -1)
-        flat = by_row.reshape(n * n_hyp, -1)
-        steps = w[None, :, None, :] * (flat @ flat.conj().T).reshape(
-            n, n_hyp, n, n_hyp)
-        self.row_steps = steps.reshape(n, n_hyp * n, n_hyp)
+
+    @cached_property
+    def gradient_weights(self) -> np.ndarray:
+        by_row = self.factors.transpose(1, 0, 2)  # (N, I, M): U_i[a]
+        w = self.term_weights
+        return (w[:, None, :, None] * by_row.conj()).reshape(
+            self.n_hypotheses, self.n_elements, -1)
+
+    @cached_property
+    def row_steps(self) -> np.ndarray:
+        n, n_hyp = self.n_elements, self.n_hypotheses
+        flat = self.factors.transpose(1, 0, 2).reshape(n * n_hyp, -1)
+        steps = self.term_weights[None, :, None, :] * (
+            flat @ flat.conj().T).reshape(n, n_hyp, n, n_hyp)
+        return steps.reshape(n, n_hyp * n, n_hyp)
+
+    @cached_property
+    def row_coupling(self) -> np.ndarray:
+        n, n_hyp = self.n_elements, self.n_hypotheses
         diag = np.arange(n)
-        self.row_coupling = steps[diag, :, diag, :]
+        return self.row_steps.reshape(n, n_hyp, n, n_hyp)[diag, :, diag, :]
 
     @property
     def n_hypotheses(self) -> int:
@@ -393,7 +432,14 @@ def update_theta(state: OptimizerState, on_update=None) -> OptimizerState:
 
 @dataclass
 class WaveformDesign:
-    """Result of one penalty-method design run."""
+    """Result of one design run.
+
+    For ``optimize``, ``outer_iterations`` counts ascent rounds,
+    ``objective`` is the distance and ``trace`` lists the distance at the
+    start and after every round.  For ``penalty_optimize`` it counts
+    penalty stages, and ``trace`` holds one (stage, rho, violation,
+    objective, distance) row per stage.
+    """
 
     x: np.ndarray
     theta: np.ndarray
@@ -406,13 +452,202 @@ class WaveformDesign:
     trace: list = field(repr=False, default_factory=list)
 
 
+def _start(x_init, theta_init, power_budget: float):
+    """Unit-modulus phases and a power-saturated waveform (fresh arrays)."""
+    theta = np.exp(1j * np.angle(np.asarray(theta_init, dtype=complex)))
+    x = np.asarray(x_init, dtype=complex)
+    x_norm = np.linalg.norm(x)
+    if x_norm == 0:
+        raise ValueError("waveform initialization must be nonzero")
+    return theta, np.sqrt(power_budget) * x / x_norm
+
+
+_EPS = float(np.finfo(float).eps)
+_NEWTON_CAP = 16
+ROUND_CAP = 1000
+
+
+def _phase_peak(c1: complex, c2: complex, z: complex) -> complex | None:
+    """Newton's method on the phase of Re(c1 z + c2 z^2) from z: the
+    stationary point it reaches, or None if it leaves a concave stretch."""
+    for _ in range(_NEWTON_CAP):
+        lin, quad = c1 * z, c2 * z * z
+        curvature = (lin + 4.0 * quad).real  # minus the second derivative
+        if curvature <= 0:
+            return None
+        step = (lin + 2.0 * quad).imag / curvature
+        z *= cmath.exp(-1j * step)
+        if abs(step) <= 1e-9:  # quadratic convergence: z is stationary
+            return z / abs(z)
+    return None
+
+
+def _best_phase(c1: complex, c2: complex, z: complex) -> complex:
+    """The unit-modulus maximizer of Re(c1 z + c2 z^2), |c1| + |c2| = 1,
+    starting from the current phase z (kept unless beaten).
+
+    At a stationary point z* the drop 2 Re(c1 z* + c2 z*^2) -
+    2 Re(c1 z + c2 z^2) factors as |z - z*|^2 (q0 + 2 Re(c2 z* z)) with
+    q0 = Re(c1 z* + 2 c2 z*^2), so z* is the global maximizer exactly when
+    q0 >= 2 |c2|.  Newton from z usually lands on such a certified point;
+    otherwise the best unit-circle root of the stationarity quartic
+    2 c2 z^4 + c1 z^3 - c1^* z - 2 c2^* is polished.
+    """
+    peak = _phase_peak(c1, c2, z)
+    if peak is not None and (c1 * peak + 2.0 * c2 * peak * peak).real \
+            >= 2.0 * abs(c2):
+        return peak
+
+    def value(u):
+        return (c1 * u + c2 * u * u).real
+
+    if abs(c2) <= _EPS * abs(c1):
+        # the z^2 term is below rounding: the first harmonic's peak
+        candidates = [c1.conjugate() / abs(c1)]
+    else:
+        roots = np.roots([2.0 * c2, c1, 0.0, -c1.conjugate(),
+                          -2.0 * c2.conjugate()]).tolist()
+        candidates = [r / abs(r) for r in roots if r != 0]
+    best = max(candidates, key=value)
+    polished = _phase_peak(c1, c2, best)
+    if polished is not None and value(polished) > value(best):
+        best = polished
+    return best if value(best) > value(z) else z
+
+
+class _PhaseAscent:
+    """Carriers of the theta-domain ascent at the current (theta, x).
+
+    ``w`` is W^T scaled by a power of two to a largest magnitude in
+    [1/2, 1) (Hermitian, like W), so the ascent does the same arithmetic
+    at every distance scale.
+    ``rows[n]`` stacks [U_i[n] | v_i[n]] over the hypotheses
+    (I x (M + 1)); the carriers ``state`` = [b_i | s_i] are
+    sum_n theta_n rows[n], and ``quad[n]`` = w (v_i[n] U_i[n]) is the
+    weighted z^2 factor of element n.  With mu_i = s_i b_i the scaled
+    distance is vdot(mu, w mu), tracked in ``distance``.
+    """
+
+    def __init__(self, ctx: DistanceContext, theta: np.ndarray,
+                 x: np.ndarray, w: np.ndarray):
+        n_hyp, n, m = ctx.factors.shape
+        self.ctx, self.theta, self.w, self.m = ctx, theta, w, m
+        self.rows = np.empty((n, n_hyp, m + 1), dtype=complex)
+        self.rows[:, :, :m] = ctx.factors.transpose(1, 0, 2)
+        self.set_waveform(x)
+
+    def set_waveform(self, x: np.ndarray):
+        """Take a new x, re-form the carriers from theta and the distance."""
+        m = self.m
+        self.x = x
+        rows = self.rows
+        rows[:, :, m] = (self.ctx.factors @ x).T
+        self.quad = self.w @ (rows[:, :, m:] * rows[:, :, :m])
+        n, n_hyp, _ = rows.shape
+        self.state = (self.theta @ rows.reshape(n, -1)).reshape(n_hyp, m + 1)
+        mu = self.state[:, m:] * self.state[:, :m]
+        self.distance = float(np.vdot(mu, self.w @ mu).real)
+
+    def step(self, n: int):
+        """Set theta_n to the exact maximizer of the distance over it.
+
+        With theta_n = z the carriers are base + z rows[n], so
+        mu_i = B0_i + B1_i z + B2_i z^2 and the distance is
+        c0 + 2 Re(c1 z + c2 z^2) with c1 = <B0, w B1> + <B1, w B2> and
+        c2 = <B0, w B2>.  An element whose coefficients are below the
+        distance's rounding is left alone.
+        """
+        m = self.m
+        t = complex(self.theta[n])
+        row = self.rows[n]
+        base = self.state - t * row
+        s0 = base[:, m:]
+        b0 = s0 * base[:, :m]
+        b1 = row[:, m:] * base[:, :m] + s0 * row[:, :m]
+        quad = self.quad[n]
+        c2 = complex(np.vdot(b0, quad))
+        c1 = complex(np.vdot(self.w @ b0, b1) + np.vdot(b1, quad))
+        size = abs(c1) + abs(c2)
+        if size <= _EPS * self.distance:
+            return
+        c1, c2 = c1 / size, c2 / size
+        z = _best_phase(c1, c2, t)
+        gain = (c1 * z + c2 * z * z - c1 * t - c2 * t * t).real
+        if gain > 0:
+            self.theta[n] = z
+            self.state = base + z * row
+            self.distance += 2.0 * gain * size
+
+    def waveform_matrix(self) -> np.ndarray:
+        """Hermitian Z (M x M) with x^H Z x the scaled distance at this
+        theta: Z = B^H (w o (B^* B^T)) B, B stacking the carriers b_i."""
+        b = self.state[:, :self.m]
+        z = b.conj().T @ (self.w * (b.conj() @ b.T)) @ b
+        return (z + z.conj().T) / 2.0
+
+    def update_waveform(self, power: float):
+        """x := the power-saturated dominant eigenvector of Z, or the
+        current x when Z is zero (no x dependence)."""
+        z = self.waveform_matrix()
+        norm = np.linalg.norm(z)
+        if not np.isfinite(norm):
+            raise FloatingPointError("waveform matrix is not finite")
+        self.set_waveform(dominant_power_vector(z, power) if norm > 0
+                          else self.x)
+
+
 def optimize(ctx: DistanceContext, x_init: np.ndarray, theta_init: np.ndarray,
-             power_budget: float, accuracy: float = 1e-7,
-             penalty_scale: float = 0.5, inner_tol: float = 1e-6,
-             outer_cap: int = 60, inner_cap: int = 100,
-             rho_init: float | None = None,
-             on_block_update=None) -> WaveformDesign:
-    """Penalty method with inner three-block coordinate descent.
+             power_budget: float, accuracy: float = 1e-7) -> WaveformDesign:
+    """Exact element-wise ascent in the theta domain.
+
+    Starts from the unit-modulus projection of ``theta_init`` and a
+    power-saturated ``x_init``.  A round sets every theta_n in turn to
+    the exact maximizer of the distance over it, then x to the
+    power-saturated dominant eigenvector of the waveform matrix (the
+    previous x is kept when the matrix is zero).  The design stops once a
+    round raises the distance by at most ``accuracy`` relative, or after
+    ``ROUND_CAP`` rounds (``converged`` False).  With all term weights zero
+    (a single hypothesis, or no pair weight) the start is returned.
+    """
+    if accuracy <= 0:
+        raise ValueError("accuracy must be positive")
+    theta, x = _start(x_init, theta_init, power_budget)
+    w = ctx.term_weights
+    top = float(np.abs(w).max())
+    rounds, converged, trace = 0, True, [0.0]
+    if top > 0:
+        # W times 2^-e, |W| < 2^e: exact, and safe for the subnormal weights
+        # of a near-certain belief, where dividing by ``top`` overflows
+        e = math.frexp(top)[1]
+        w = np.ldexp(w.real, -e) + 1j * np.ldexp(w.imag, -e)
+        ascent = _PhaseAscent(ctx, theta, x, w.T)
+        trace = [math.ldexp(ascent.distance, e)]
+        converged = False
+        for rounds in range(1, ROUND_CAP + 1):
+            before = ascent.distance
+            for n in range(theta.size):
+                ascent.step(n)
+            ascent.update_waveform(power_budget)
+            trace.append(math.ldexp(ascent.distance, e))
+            if ascent.distance - before <= accuracy * ascent.distance:
+                converged = True
+                break
+        x = ascent.x
+    q = np.outer(theta, theta.conj())
+    return WaveformDesign(x=x, theta=theta,
+                          violation=constraint_violation(q, theta),
+                          converged=converged, outer_iterations=rounds,
+                          objective=trace[-1], distance=trace[-1], trace=trace)
+
+
+def penalty_optimize(ctx: DistanceContext, x_init: np.ndarray,
+                     theta_init: np.ndarray, power_budget: float,
+                     accuracy: float = 1e-7, penalty_scale: float = 0.5,
+                     inner_tol: float = 1e-6, outer_cap: int = 60,
+                     inner_cap: int = 100, rho_init: float | None = None,
+                     on_block_update=None) -> WaveformDesign:
+    """The paper's penalty method with inner three-block coordinate descent
+    (the reference for ``optimize``).
 
     Starts from the feasible lift Q = theta theta^H (zero violation) and a
     power-saturated version of ``x_init``; the outer loop shrinks rho by
@@ -428,14 +663,7 @@ def optimize(ctx: DistanceContext, x_init: np.ndarray, theta_init: np.ndarray,
         raise ValueError("accuracy must be positive")
     if rho_init is not None and rho_init <= 0:
         raise ValueError("penalty parameter must be positive")
-    theta = np.asarray(theta_init, dtype=complex).copy()
-    theta = np.exp(1j * np.angle(theta))
-    x = np.asarray(x_init, dtype=complex).copy()
-    x_norm = np.linalg.norm(x)
-    if x_norm == 0:
-        raise ValueError("waveform initialization must be nonzero")
-    x = np.sqrt(power_budget) * x / x_norm
-
+    theta, x = _start(x_init, theta_init, power_budget)
     q = np.outer(theta, theta.conj())
     q = np.exp(1j * np.angle(q))  # exact unit modulus
     state = OptimizerState(q=q, theta=theta, x=x, rho=rho_init or 1.0,

@@ -245,7 +245,7 @@ def test_criterion_8_penalty_bcd_contract():
     for _ in range(20):
         ctx = _random_distance_context(rng, n=5, m=3, n_hyp=3)
         records = []
-        design = waveopt.optimize(
+        design = waveopt.penalty_optimize(
             ctx, crandn(rng, 3), random_unit_modulus(rng, 5),
             power_budget=4.0, accuracy=1e-7,
             on_block_update=lambda v, rho: records.append((rho, v)))

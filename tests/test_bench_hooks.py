@@ -12,7 +12,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from irsloc import bqp, chanest, harness, localize, pilot, waveopt
+from irsloc.util import crandn, random_unit_modulus
 
 INSTRUMENT = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
 
@@ -93,6 +96,15 @@ def test_design_spans_fire(monkeypatch):
     instrument = load_instrument(monkeypatch)
     patcher = instrument.Patcher()
     original_optimize = waveopt.optimize
+    rng = np.random.default_rng(5)
+    n, m, n_hyp = 5, 3, 3
+    reference_ctx = waveopt.DistanceContext(
+        channels=[crandn(rng, n, m) for _ in range(n_hyp)],
+        steering=np.column_stack([random_unit_modulus(rng, n)
+                                  for _ in range(n_hyp)]),
+        alphas=crandn(rng, n_hyp),
+        weights=waveopt.pair_weights(np.full(n_hyp, 1.0 / n_hyp)),
+        snapshots=8, noise_power=1.0)
     try:
         tracer = instrument.Tracer(patcher)
         instrument.install_spans(
@@ -108,6 +120,10 @@ def test_design_spans_fire(monkeypatch):
             "points": [{"arm": "optimized"}],
             "trials": 1, "master_seed": 2026})
         harness.run_localization_campaign(spec)
+        campaign_calls = dict(tracer.calls)
+        reference = waveopt.penalty_optimize(
+            reference_ctx, crandn(rng, m), random_unit_modulus(rng, n),
+            power_budget=4.0)
     finally:
         patcher.restore()
     assert waveopt.optimize is original_optimize
@@ -115,16 +131,22 @@ def test_design_spans_fire(monkeypatch):
     # a design follows every cycle but the last of the trial
     designed = len(rec.cycles) - 1
     assert designed == 2
-    assert tracer.calls["waveopt.optimize"] == designed
-    assert tracer.calls["waveopt.build_context"] == designed
+    assert campaign_calls["waveopt.optimize"] == designed
+    assert campaign_calls["waveopt.build_context"] == designed
     assert all(c.design is not None for c in rec.cycles[:-1])
     assert rec.cycles[-1].design is None
-    # one call of each block per inner iteration
+    assert all(c.design.violation < c.design.accuracy for c in rec.cycles[:-1])
+    assert tracer.self_s["waveopt.optimize"] > 0
+    assert tracer.counters["waveopt.optimize.outer_iterations"] >= designed
+    # the campaign's theta-domain ascent runs none of the penalty blocks
+    for name in ("waveopt.update_q", "waveopt.update_x",
+                 "waveopt.update_theta"):
+        assert campaign_calls.get(name, 0) == 0, name
+    # the reference runs one call of each block per inner iteration
     sweeps = tracer.calls["waveopt.update_q"]
-    assert sweeps >= designed
+    assert sweeps >= reference.outer_iterations
     assert tracer.calls["waveopt.update_x"] == sweeps
     assert tracer.calls["waveopt.update_theta"] == sweeps
-    for name in ("waveopt.optimize", "waveopt.update_q", "waveopt.update_x",
+    for name in ("waveopt.update_q", "waveopt.update_x",
                  "waveopt.update_theta"):
         assert tracer.self_s[name] > 0, name
-    assert tracer.counters["waveopt.optimize.outer_iterations"] >= designed

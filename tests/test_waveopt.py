@@ -3,9 +3,10 @@ import pytest
 
 from irsloc.util import crandn, random_unit_modulus, vec
 from irsloc.waveopt import (DistanceContext, OptimizerState, _Lift,
-                            build_context, constraint_violation,
-                            dominant_power_vector, in_row_coupling, optimize,
-                            pair_distance, penalty_value, update_q,
+                            _PhaseAscent, _best_phase, build_context,
+                            constraint_violation, dominant_power_vector,
+                            in_row_coupling, optimize, pair_distance,
+                            penalty_optimize, penalty_value, update_q,
                             update_theta, update_x, weighted_distance)
 
 
@@ -453,7 +454,7 @@ def test_optimize_closes_lifting_and_improves():
     ctx = random_context(rng, n=5)
     theta0 = random_unit_modulus(rng, 5)
     x0 = crandn(rng, 3)
-    design = optimize(ctx, x0, theta0, power_budget=4.0, accuracy=1e-7)
+    design = penalty_optimize(ctx, x0, theta0, power_budget=4.0, accuracy=1e-7)
     assert design.converged
     assert design.violation < 1e-7
     n = 5
@@ -476,7 +477,7 @@ def test_optimize_blockwise_monotone_within_stage():
     theta0 = random_unit_modulus(rng, 4)
     x0 = crandn(rng, 3)
     records = []
-    optimize(ctx, x0, theta0, power_budget=4.0, accuracy=1e-7,
+    penalty_optimize(ctx, x0, theta0, power_budget=4.0, accuracy=1e-7,
              on_block_update=lambda v, rho: records.append((rho, v)))
     assert records
     violations = 0
@@ -539,7 +540,7 @@ def test_optimize_matches_oracle(n, seed, noise_power):
     rng = np.random.default_rng(seed)
     ctx = random_context(rng, n=n, m=4, n_hyp=4, noise_power=noise_power)
     theta0, x0 = random_unit_modulus(rng, n), crandn(rng, 4)
-    design = optimize(ctx, x0, theta0, power_budget=4.0)
+    design = penalty_optimize(ctx, x0, theta0, power_budget=4.0)
     state, outer, converged, trace = oracle_optimize(ctx, x0, theta0, 4.0)
     assert design.outer_iterations == outer
     assert design.converged == converged
@@ -559,13 +560,13 @@ def test_optimize_invariant_to_distance_scale():
     rng = np.random.default_rng(50)
     ctx = random_context(rng, n=5, m=3, n_hyp=3, noise_power=1.0)
     theta0, x0 = random_unit_modulus(rng, 5), crandn(rng, 3)
-    ref = optimize(ctx, x0, theta0, power_budget=4.0, rho_init=0.05)
+    ref = penalty_optimize(ctx, x0, theta0, power_budget=4.0, rho_init=0.05)
     assert ref.converged
     for k in range(-6, 7):
         scaled = DistanceContext(channels=ctx.channels, steering=ctx.steering,
                                  alphas=ctx.alphas, weights=ctx.weights,
                                  snapshots=ctx.snapshots, noise_power=10.0 ** -k)
-        design = optimize(scaled, x0, theta0, power_budget=4.0,
+        design = penalty_optimize(scaled, x0, theta0, power_budget=4.0,
                           rho_init=0.05 * 10.0 ** -k)
         assert design.outer_iterations == ref.outer_iterations
         assert np.abs(design.theta - ref.theta).max() <= 1e-12
@@ -579,7 +580,7 @@ def test_optimize_single_hypothesis_trivial():
                           alphas=np.array([1.0 + 0j]),
                           weights=np.zeros((1, 1)),
                           snapshots=4, noise_power=1.0)
-    design = optimize(ctx, np.ones(2), random_unit_modulus(rng, 4),
+    design = penalty_optimize(ctx, np.ones(2), random_unit_modulus(rng, 4),
                       power_budget=1.0)
     assert design.converged
     assert design.distance == 0.0
@@ -591,11 +592,13 @@ def test_optimize_validates_parameters():
     ctx = random_context(rng, n=4)
     theta0 = random_unit_modulus(rng, 4)
     with pytest.raises(ValueError):
-        optimize(ctx, np.ones(3), theta0, power_budget=1.0, penalty_scale=1.5)
+        penalty_optimize(ctx, np.ones(3), theta0, power_budget=1.0,
+                         penalty_scale=1.5)
     with pytest.raises(ValueError):
-        optimize(ctx, np.zeros(3), theta0, power_budget=1.0)
+        penalty_optimize(ctx, np.zeros(3), theta0, power_budget=1.0)
     with pytest.raises(ValueError):
-        optimize(ctx, np.ones(3), theta0, power_budget=1.0, accuracy=0.0)
+        penalty_optimize(ctx, np.ones(3), theta0, power_budget=1.0,
+                         accuracy=0.0)
 
 
 def test_build_context_weights_from_belief():
@@ -627,3 +630,271 @@ def test_constraint_violation_definition():
     xi = constraint_violation(other, theta)
     assert xi == pytest.approx(
         (36 - np.real(theta.conj() @ other @ theta)) / 36, rel=1e-12)
+
+
+# ------------------------------------------------ theta-domain ascent
+
+def lifted_distance(ctx, theta, x):
+    return weighted_distance(ctx, np.outer(theta, theta.conj()), x)
+
+
+def start_ascent(ctx, theta, x):
+    top = np.abs(ctx.term_weights).max()
+    return _PhaseAscent(ctx, theta, x, (ctx.term_weights / top).T), top
+
+
+PHASES = np.exp(1j * np.linspace(0, 2 * np.pi, 4096, endpoint=False))
+
+
+def test_best_phase_matches_phase_grid():
+    """The closed-form element maximizer against a 4096-point phase grid,
+    over random coefficients, random starts and the degenerate regimes."""
+    rng = np.random.default_rng(70)
+    cases = [tuple(complex(*rng.standard_normal(2)) for _ in range(2))
+             for _ in range(300)]
+    cases += [(1.0, 1e-20j), (0.3 - 0.1j, 0.0), (0.0, 1.0 + 1.0j),
+              (1.0, 0.25), (1.0, -0.25), (2.0, 1j), (1e-17, 1.0)]
+    for c1, c2 in cases:
+        size = abs(c1) + abs(c2)
+        c1, c2 = c1 / size, c2 / size
+        start = complex(random_unit_modulus(rng, 1)[0])
+        z = _best_phase(c1, c2, start)
+        assert abs(abs(z) - 1.0) <= 1e-14
+
+        def value(u):
+            return (c1 * u + c2 * u * u).real
+
+        grid = (c1 * PHASES + c2 * PHASES ** 2).real.max()
+        assert value(z) >= grid - 1e-12
+        assert value(z) >= value(start)
+    # a start at the trough, where Newton gives up: the roots decide, and a
+    # subnormal z^2 coefficient must not overflow the quartic's companion
+    for c1, c2 in ((1.0 + 0j, 1e-310j), (1.0 + 0j, 1e-20 + 0j),
+                   (0.6j, 0.4 + 0j)):
+        trough = -c1.conjugate() / abs(c1)
+        with np.errstate(all="raise"):
+            z = _best_phase(c1, c2, trough)
+        grid = (c1 * PHASES + c2 * PHASES ** 2).real.max()
+        assert (c1 * z + c2 * z * z).real >= grid - 1e-12
+
+
+@pytest.mark.parametrize("n, m, n_hyp, seed", [(6, 3, 3, 71), (10, 4, 4, 72),
+                                                (20, 6, 4, 73)])
+def test_ascent_step_matches_phase_grid(n, m, n_hyp, seed):
+    """Each element step reaches the 4096-point phase-grid maximum of the
+    weighted distance over that element, and tracks the distance."""
+    rng = np.random.default_rng(seed)
+    ctx = random_context(rng, n=n, m=m, n_hyp=n_hyp)
+    theta, x = random_unit_modulus(rng, n), crandn(rng, m)
+    ascent, top = start_ascent(ctx, theta, x)
+    for k in (0, n // 2, n - 1, 1):
+        grid = []
+        for z in PHASES:
+            probe = theta.copy()
+            probe[k] = z
+            grid.append(lifted_distance(ctx, probe, x))
+        best = max(grid)
+        before = lifted_distance(ctx, theta, x)
+        ascent.step(k)
+        after = lifted_distance(ctx, theta, x)
+        assert after >= best - 1e-12 * best
+        assert after >= before
+        assert abs(theta[k]) == pytest.approx(1.0, abs=1e-14)
+        assert ascent.distance * top == pytest.approx(after, rel=1e-12)
+
+
+def test_ascent_waveform_matrix_matches_lift():
+    rng = np.random.default_rng(74)
+    ctx = random_context(rng, n=7, m=4, n_hyp=4)
+    theta, x = random_unit_modulus(rng, 7), crandn(rng, 4)
+    ascent, top = start_ascent(ctx, theta, x)
+    want = _Lift(ctx, np.outer(theta, theta.conj())).waveform_matrix()
+    got = ascent.waveform_matrix() * top
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(got, got.conj().T)
+    assert ascent.distance * top == pytest.approx(
+        lifted_distance(ctx, theta, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, seed", [(5, 75), (10, 76), (20, 77)])
+def test_optimize_ascent_monotone_and_feasible(n, seed):
+    rng = np.random.default_rng(seed)
+    ctx = random_context(rng, n=n, m=4, n_hyp=4)
+    theta0, x0 = random_unit_modulus(rng, n), crandn(rng, 4)
+    design = optimize(ctx, x0, theta0, power_budget=4.0, accuracy=1e-7)
+    assert design.converged
+    assert len(design.trace) == design.outer_iterations + 1
+    rises = np.diff(design.trace)
+    assert np.all(rises >= -1e-12 * np.abs(design.trace[1:]))
+    # the last round rose by less than the accuracy, the others by more
+    assert rises[-1] <= 1e-7 * design.trace[-1]
+    assert np.all(rises[:-1] > 1e-7 * np.asarray(design.trace[1:-1]))
+    assert design.violation < 1e-7
+    assert np.abs(np.abs(design.theta) - 1.0).max() <= 1e-12
+    assert np.linalg.norm(design.x) ** 2 == pytest.approx(4.0, rel=1e-12)
+    assert design.distance == pytest.approx(
+        lifted_distance(ctx, design.theta, design.x), rel=1e-10)
+    # each round ends with x the power-saturated dominant eigenvector
+    q = np.outer(design.theta, design.theta.conj())
+    z = _Lift(ctx, q).waveform_matrix()
+    top = 4.0 * np.linalg.eigvalsh(z)[-1]
+    assert np.real(design.x.conj() @ z @ design.x) == pytest.approx(
+        top, rel=1e-12)
+    start = lifted_distance(ctx, np.exp(1j * np.angle(theta0)),
+                            2.0 * x0 / np.linalg.norm(x0))
+    assert design.trace[0] == pytest.approx(start, rel=1e-12)
+    assert design.distance >= start
+
+
+def test_optimize_ascent_invariant_to_distance_scale():
+    """Noise power 10^k rescales the distance only: the same rounds, the
+    same design up to rounding, with no scale-dependent floor or rho."""
+    rng = np.random.default_rng(78)
+    ctx = random_context(rng, n=10, m=4, n_hyp=4, noise_power=1.0)
+    theta0, x0 = random_unit_modulus(rng, 10), crandn(rng, 4)
+    ref = optimize(ctx, x0, theta0, power_budget=4.0)
+    assert ref.converged and ref.outer_iterations > 3
+    for k in range(-6, 7):
+        scaled = DistanceContext(channels=ctx.channels, steering=ctx.steering,
+                                 alphas=ctx.alphas, weights=ctx.weights,
+                                 snapshots=ctx.snapshots,
+                                 noise_power=10.0 ** k)
+        design = optimize(scaled, x0, theta0, power_budget=4.0)
+        assert design.outer_iterations == ref.outer_iterations
+        assert np.abs(design.theta - ref.theta).max() <= 1e-12
+        assert np.abs(design.x - ref.x).max() <= 1e-12
+        assert design.distance == pytest.approx(ref.distance * 10.0 ** -k,
+                                                rel=1e-12)
+    # the same for a common channel amplitude 10^k: the distance scales as
+    # 10^(4k), with the same rounds and design
+    for k in (-6, -3, 3):
+        channels = [g * 10.0 ** k for g in ctx.channels]
+        scaled = DistanceContext(channels=channels,
+                                 steering=ctx.steering, alphas=ctx.alphas,
+                                 weights=ctx.weights, snapshots=ctx.snapshots,
+                                 noise_power=1.0)
+        design = optimize(scaled, x0, theta0, power_budget=4.0)
+        assert design.outer_iterations == ref.outer_iterations
+        assert np.abs(design.theta - ref.theta).max() <= 1e-12
+        assert np.abs(design.x - ref.x).max() <= 1e-12
+
+
+def test_optimize_ascent_degenerate_weights():
+    rng = np.random.default_rng(79)
+    ctx = random_context(rng, n=6, m=3, n_hyp=3)
+    theta0, x0 = random_unit_modulus(rng, 6), crandn(rng, 3)
+    ref = optimize(ctx, x0, theta0, power_budget=4.0)
+    theta_start = np.exp(1j * np.angle(theta0))
+    x_start = 2.0 * x0 / np.linalg.norm(x0)
+    # pair weights about 1e-300: the same design as at unit scale, also
+    # when the term weights are subnormal (a near-certain belief at a large
+    # noise power), up to the bits those keep
+    for noise_power, tol in ((ctx.noise_power, 1e-12), (1e13, 1e-9)):
+        tiny = DistanceContext(channels=ctx.channels, steering=ctx.steering,
+                               alphas=ctx.alphas, weights=ctx.weights * 1e-300,
+                               snapshots=ctx.snapshots,
+                               noise_power=noise_power)
+        with np.errstate(all="raise"):
+            design = optimize(tiny, x0, theta0, power_budget=4.0)
+        assert design.outer_iterations == ref.outer_iterations
+        assert np.abs(design.theta - ref.theta).max() <= tol
+        assert np.abs(design.x - ref.x).max() <= tol
+    assert np.abs(tiny.term_weights).max() < np.finfo(float).tiny
+    with np.errstate(all="raise"):
+        # no pair weight, or a single hypothesis: the start comes back
+        flat = DistanceContext(channels=ctx.channels, steering=ctx.steering,
+                               alphas=ctx.alphas,
+                               weights=np.zeros_like(ctx.weights),
+                               snapshots=ctx.snapshots,
+                               noise_power=ctx.noise_power)
+        single = DistanceContext(channels=ctx.channels[:1],
+                                 steering=ctx.steering[:, :1],
+                                 alphas=ctx.alphas[:1],
+                                 weights=np.zeros((1, 1)),
+                                 snapshots=ctx.snapshots,
+                                 noise_power=ctx.noise_power)
+        for degenerate in (flat, single):
+            design = optimize(degenerate, x0, theta0, power_budget=4.0)
+            assert np.array_equal(design.theta, theta_start)
+            assert np.array_equal(design.x, x_start)
+            assert design.distance == 0.0 and design.converged
+
+
+def test_optimize_ascent_validates_parameters():
+    rng = np.random.default_rng(80)
+    ctx = random_context(rng, n=4)
+    theta0 = random_unit_modulus(rng, 4)
+    with pytest.raises(ValueError):
+        optimize(ctx, np.zeros(3), theta0, power_budget=1.0)
+    with pytest.raises(ValueError):
+        optimize(ctx, np.ones(3), theta0, power_budget=1.0, accuracy=0.0)
+
+
+def test_q_sweep_tables_built_on_first_use():
+    rng = np.random.default_rng(81)
+    ctx = random_context(rng, n=5, m=3, n_hyp=3)
+    optimize(ctx, crandn(rng, 3), random_unit_modulus(rng, 5),
+             power_budget=4.0)
+    tables = ("gradient_weights", "row_steps", "row_coupling")
+    assert not any(name in vars(ctx) for name in tables)
+    state = make_state(rng, ctx)
+    update_q(state, ctx)
+    assert all(name in vars(ctx) for name in tables)
+    # the same arrays on every read
+    assert ctx.row_steps is ctx.row_steps
+    n, n_hyp = 5, 3
+    assert ctx.row_coupling.shape == (n, n_hyp, n_hyp)
+    assert ctx.gradient_weights.shape == (n_hyp, n, n_hyp * 3)
+
+
+def desk_designs(monkeypatch):
+    """The design inputs of a short desk campaign: the criterion-9 scene,
+    optimized 50 W arm, one trial of three cycles."""
+    from irsloc import harness, waveopt
+    captured = []
+    original = waveopt.optimize
+
+    def capture(ctx, x_init, theta_init, power_budget, **kwargs):
+        captured.append((ctx, np.array(x_init), np.array(theta_init),
+                         power_budget))
+        return original(ctx, x_init, theta_init, power_budget, **kwargs)
+
+    monkeypatch.setattr(waveopt, "optimize", capture)
+    spec = harness.spec_from_dict({
+        "scene": {"m_antennas": 4, "n_x": 5, "n_y": 2, "sigma2_dbm": -120.0,
+                  "target_rcs_amplitude": 2e-5},
+        "pilot": {"m_t": 1, "snr_db": 40.0},
+        "localization": {"n_grids": 4, "theta_lo_deg": 52.5,
+                         "theta_hi_deg": 72.5, "snapshots": 8,
+                         "power_budget": 50.0, "threshold": 0.95,
+                         "max_cycles": 3},
+        "points": [{"arm": "optimized"}], "trials": 1, "master_seed": 2026})
+    harness.run_localization_campaign(spec)
+    monkeypatch.setattr(waveopt, "optimize", original)
+    return captured
+
+
+def test_ascent_beats_penalty_reference_on_desk_designs(monkeypatch,
+                                                         record_property):
+    designs = desk_designs(monkeypatch)
+    assert len(designs) == 2
+    for k, (ctx, x0, theta0, power) in enumerate(designs):
+        ascent = optimize(ctx, x0, theta0, power)
+        reference = penalty_optimize(ctx, x0, theta0, power)
+        record_property(f"desk_design_{k}_ratio",
+                        ascent.distance / reference.distance)
+        assert ascent.distance >= reference.distance
+
+
+def test_ascent_against_penalty_reference_on_random_contexts(record_property):
+    """A local ascent, like the reference: on unit-scale random contexts
+    the ratio of the two distances is recorded, not gated."""
+    for n, seed in ((5, 82), (10, 83), (20, 84)):
+        rng = np.random.default_rng(seed)
+        ctx = random_context(rng, n=n, m=4, n_hyp=4)
+        theta0, x0 = random_unit_modulus(rng, n), crandn(rng, 4)
+        ascent = optimize(ctx, x0, theta0, power_budget=4.0)
+        reference = penalty_optimize(ctx, x0, theta0, power_budget=4.0)
+        record_property(f"random_n{n}_ratio",
+                        ascent.distance / reference.distance)
+        assert ascent.converged and reference.converged

@@ -28,8 +28,18 @@ N x M(M-1)/2 pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j]
 alone, and its iterates are those of the full-residual sweep up to rounding.
 An update of g[n, a] changes only row n of R; per IRS row one product
 G = Kp[n] @ R gives the pair gradient, and each entry step reads and updates
-it in O(M) plain-complex work.  For a partly used last pattern the
-schedule's ``pattern_gram`` raises ValueError, and ``refine`` with it.
+it in O(M) plain-complex work.  The sweep holds g, its conjugates and its
+|g|^2 as Python lists and updates only the gradients the row still reads.
+For a partly used last pattern the schedule's ``pattern_gram`` raises
+ValueError, and ``refine`` with it.
+
+``initialize`` computes every row whose anchor tuples are all usable in
+one pass of array operations, and the remaining rows one by one.  Both
+paths, and the list sweep, round exactly as the scalar per-row and
+per-entry code they replace, so campaign output is byte for byte the
+same.  numpy's complex *array* product may fuse multiply-adds and differ
+from the scalar product in the last bit, so the vectorized initializer
+forms its products from real parts (``_scalar_mul``).
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -39,6 +49,7 @@ so the 2^N minimization collapses to N independent choices).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +124,10 @@ def initialize(h_bar: np.ndarray, anchor: int = 0) -> np.ndarray:
     is the geometric mean of all tuples after aligning their (arbitrary)
     signs to the first one.  Remaining entries follow by dividing the
     averaged products by the anchor estimate.  Requires M >= 3.
+
+    Rows whose every anchor tuple is usable are computed together, with the
+    same floating-point operations as the per-row path; a row with a
+    degenerate tuple takes ``_initialize_row``, the anchor fallback included.
     """
     n, m = h_bar.shape[0], h_bar.shape[1]
     if m < 3:
@@ -120,38 +135,76 @@ def initialize(h_bar: np.ndarray, anchor: int = 0) -> np.ndarray:
     if not 0 <= anchor < m:
         raise ValueError(f"anchor column {anchor} out of range")
 
+    others = [k for k in range(m) if k != anchor]
+    ps, qs = (list(ix) for ix in zip(*itertools.combinations(others, 2)))
+    # nanmax of each row's off-diagonal moduli, without the all-NaN warning
+    peak = np.fmax.reduce(np.abs(h_bar[:, ~np.eye(m, dtype=bool)]), axis=1)
+    floor = np.where(peak > 0, 1e-12 * peak, 0.0)
+    with np.errstate(all="ignore"):
+        den = h_bar[:, ps, qs]
+        vals = np.sqrt(_scalar_mul(h_bar[:, anchor, ps], h_bar[:, anchor, qs])
+                       / den)
+        # np.hypot, not np.abs: it rounds as the per-row abs(den) does
+        usable = (np.isfinite(den) & (np.hypot(den.real, den.imag) > floor[:, None])
+                  & np.isfinite(vals) & (vals != 0)).all(axis=1)
+
     g0 = np.empty((n, m), dtype=complex)
-    for row in range(n):
-        h_row = h_bar[row]
-        off = np.abs(h_row[~np.eye(m, dtype=bool)])
-        floor = 1e-12 * float(np.nanmax(off)) if np.nanmax(off) > 0 else 0.0
-
-        values = _row_anchor_estimate(h_row, anchor, floor)
-        col = anchor
-        if not values:
-            # Default anchor degenerate: pick the column with the most
-            # usable tuples, ties broken by the strongest denominator.
-            best_key = (-1, -1.0)
-            for cand in range(m):
-                cand_vals = _row_anchor_estimate(h_row, cand, floor)
-                others = [k for k in range(m) if k != cand]
-                dens = [abs(h_row[p, q]) for i, p in enumerate(others)
-                        for q in others[i + 1:] if abs(h_row[p, q]) > floor]
-                key = (len(cand_vals), max(dens, default=-1.0))
-                if key > best_key:
-                    best_key, col, values = key, cand, cand_vals
-            if not values:
-                raise InitializationError(
-                    f"row {row}: every square-root tuple is degenerate")
-
-        ref = values[0]
-        aligned = [v if (v / ref).real >= 0 else -v for v in values]
-        g_col = ref * np.exp(np.mean([np.log(v / ref) for v in aligned]))
-        g0[row, col] = g_col
-        for a in range(m):
-            if a != col:
-                g0[row, a] = h_row[col, a] / g_col
+    vals = vals[usable]
+    ref = vals[:, :1]
+    aligned = np.where((vals / ref).real >= 0, vals, -vals)
+    g_col = _scalar_mul(ref[:, 0], np.exp(np.log(aligned / ref).mean(axis=1)))
+    g0[usable, anchor] = g_col
+    g0[np.ix_(usable, others)] = h_bar[usable, anchor][:, others] / g_col[:, None]
+    for row in np.flatnonzero(~usable):
+        g0[row] = _initialize_row(h_bar[row], anchor, row)
     return g0
+
+
+def _scalar_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element-wise x * y of complex arrays, rounded as a scalar product.
+
+    numpy's complex array multiply may fuse multiply-adds and then differ
+    from the scalar product in the last bit; the real-part form does not.
+    """
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _initialize_row(h_row: np.ndarray, anchor: int, row: int) -> np.ndarray:
+    """``initialize`` of one row, falling back to another anchor column."""
+    m = h_row.shape[0]
+    off = np.abs(h_row[~np.eye(m, dtype=bool)])
+    floor = 1e-12 * float(np.nanmax(off)) if np.nanmax(off) > 0 else 0.0
+
+    values = _row_anchor_estimate(h_row, anchor, floor)
+    col = anchor
+    if not values:
+        # Default anchor degenerate: pick the column with the most
+        # usable tuples, ties broken by the strongest denominator.
+        best_key = (-1, -1.0)
+        for cand in range(m):
+            cand_vals = _row_anchor_estimate(h_row, cand, floor)
+            others = [k for k in range(m) if k != cand]
+            dens = [abs(h_row[p, q]) for i, p in enumerate(others)
+                    for q in others[i + 1:] if abs(h_row[p, q]) > floor]
+            key = (len(cand_vals), max(dens, default=-1.0))
+            if key > best_key:
+                best_key, col, values = key, cand, cand_vals
+        if not values:
+            raise InitializationError(
+                f"row {row}: every square-root tuple is degenerate")
+
+    ref = values[0]
+    aligned = [v if (v / ref).real >= 0 else -v for v in values]
+    g_col = ref * np.exp(np.mean([np.log(v / ref) for v in aligned]))
+    g_row = np.empty(m, dtype=complex)
+    g_row[col] = g_col
+    for a in range(m):
+        if a != col:
+            g_row[a] = h_row[col, a] / g_col
+    return g_row
 
 
 @dataclass
@@ -195,10 +248,14 @@ class _MLObjective:
 
         self.pairs = [(i, j) for i in range(self.m) for j in range(i + 1, self.m)]
         pair_of = {pair: q for q, pair in enumerate(self.pairs)}
-        # per column a, each cofactor column c with the pair index of {a, c}
-        self.tables = [[(c, pair_of[min(a, c), max(a, c)])
-                        for c in range(self.m) if c != a]
-                       for a in range(self.m)]
+        # per column a: each cofactor column c with the pair index of
+        # {a, c}, and the part of that list an entry step still reads after
+        # its update, the pairs with c > a
+        self.steps = []
+        for a in range(self.m):
+            support = [(c, pair_of[min(a, c), max(a, c)])
+                       for c in range(self.m) if c != a]
+            self.steps.append((a, support, [(c, q) for c, q in support if c > a]))
         pi, pj = (np.array(ix) for ix in zip(*self.pairs))
 
         omega = ls_estimates(obs)
@@ -223,7 +280,9 @@ class _MLObjective:
 
     def refresh_row(self, row: int):
         """Pair residuals of channel row ``row`` recomputed from g."""
-        g = self.g[row].tolist()
+        self._set_residuals(row, self.g[row].tolist())
+
+    def _set_residuals(self, row: int, g: list):
         self.residuals[row] = [h - g[i] * g[j]
                                for h, (i, j) in zip(self.h_rows[row], self.pairs)]
 
@@ -234,37 +293,47 @@ class _MLObjective:
     def sweep(self, on_update=None):
         """Exact minimization over every entry of g, in row-major order.
 
-        Per row, one product gives the pair gradient G = Kp[row] @ R at the
-        row's start; each entry step then reads and updates it on plain
-        Python complex numbers, O(M) work.  An entry with zero curvature
-        is skipped; after every other step, ``on_update(row, col)`` is
-        called with g current and the row's residuals not yet refreshed.
-        The row ends with its residuals recomputed from g.
+        g is held as Python lists for the sweep and written back at its
+        end.  Per row, one product gives the pair gradient G = Kp[row] @ R
+        at the row's start; with the row's conjugates and |g|^2, also held
+        as lists, each entry step then reads and updates it in O(M)
+        plain-complex work.  After entry a's step only the pairs {a, c}
+        with c > a are read again in the row, so only their gradients are
+        updated.  The row ends with its residuals formed from the list.
+        An entry with zero curvature is skipped; after every other step
+        ``on_update(row, col)`` is called with g current (the entry is
+        written through when a callback is given) and the row's residuals
+        not yet refreshed.
         """
         knn_all = self.kp.diagonal().real.tolist()
-        for n in range(self.n):
+        rows = self.g.tolist()
+        for n, row in enumerate(rows):
             grad = (self.kp[n] @ self.residuals).tolist()
             knn = knn_all[n]
-            row = self.g[n].tolist()
-            for a, support in enumerate(self.tables):
+            conj = [x.conjugate() for x in row]
+            abs2 = [x.real * x.real + x.imag * x.imag for x in row]
+            for a, support, ahead in self.steps:
                 num = 0j
                 nrm = 0.0
                 for c, q in support:
-                    x = row[c]
-                    nrm += x.real * x.real + x.imag * x.imag
-                    num += x.conjugate() * grad[q]
+                    nrm += abs2[c]
+                    num += conj[c] * grad[q]
                 den = knn * nrm
                 if den <= 0.0:
                     continue
                 step = num / den
-                row[a] += step
-                self.g[n, a] = row[a]
+                x = row[a] + step
+                row[a] = x
+                conj[a] = x.conjugate()
+                abs2[a] = x.real * x.real + x.imag * x.imag
                 k_step = knn * step
-                for c, q in support:
+                for c, q in ahead:
                     grad[q] -= k_step * row[c]
                 if on_update is not None:
+                    self.g[n, a] = x
                     on_update(n, a)
-            self.refresh_row(n)
+            self._set_residuals(n, row)
+        self.g[:] = rows
 
 
 def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,

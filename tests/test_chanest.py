@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from irsloc.chanest import (_MLObjective, estimate_channel, initialize,
-                            normalized_error, pairwise_products, refine)
+from irsloc.chanest import (InitializationError, _MLObjective,
+                            estimate_channel, initialize, normalized_error,
+                            pairwise_products, refine)
 from irsloc.pilot import (build_design_matrix, build_schedule, ls_covariance,
                           ls_estimates, simulate_pilot_round)
 from irsloc.scene import SceneConfig, synthesize_scene
@@ -139,7 +140,6 @@ def test_initialize_anchor_fallback():
 def test_initialize_underdetermined_row_raises():
     # only the products with column 0 survive: 3 equations cannot pin down
     # 4 magnitudes, and no anchor has a usable tuple
-    from irsloc.chanest import InitializationError
     h = build_h_bar([[1.0, 1.0, 1.0, 1.0]])
     for p in (1, 2, 3):
         for q in (1, 2, 3):
@@ -147,6 +147,125 @@ def test_initialize_underdetermined_row_raises():
                 h[0, p, q] = 0.0
     with pytest.raises(InitializationError):
         initialize(h, anchor=0)
+
+
+def oracle_anchor_estimate(h_row, anchor, floor):
+    """Square-root estimates of g_{n,anchor} from all valid (p, q) tuples."""
+    m = h_row.shape[0]
+    others = [k for k in range(m) if k != anchor]
+    values = []
+    for idx_p in range(len(others)):
+        for idx_q in range(idx_p + 1, len(others)):
+            p, q = others[idx_p], others[idx_q]
+            den = h_row[p, q]
+            if not np.isfinite(den) or abs(den) <= floor:
+                continue
+            val = np.sqrt(h_row[anchor, p] * h_row[anchor, q] / den)
+            if np.isfinite(val) and val != 0:
+                values.append(val)
+    return values
+
+
+def oracle_initialize(h_bar, anchor=0):
+    """The per-row initializer on numpy scalars, kept as the reference that
+    the row-vectorized ``initialize`` must match bit for bit."""
+    n, m = h_bar.shape[0], h_bar.shape[1]
+    g0 = np.empty((n, m), dtype=complex)
+    for row in range(n):
+        h_row = h_bar[row]
+        off = np.abs(h_row[~np.eye(m, dtype=bool)])
+        floor = 1e-12 * float(np.nanmax(off)) if np.nanmax(off) > 0 else 0.0
+
+        values = oracle_anchor_estimate(h_row, anchor, floor)
+        col = anchor
+        if not values:
+            best_key = (-1, -1.0)
+            for cand in range(m):
+                cand_vals = oracle_anchor_estimate(h_row, cand, floor)
+                others = [k for k in range(m) if k != cand]
+                dens = [abs(h_row[p, q]) for i, p in enumerate(others)
+                        for q in others[i + 1:] if abs(h_row[p, q]) > floor]
+                key = (len(cand_vals), max(dens, default=-1.0))
+                if key > best_key:
+                    best_key, col, values = key, cand, cand_vals
+            if not values:
+                raise InitializationError(
+                    f"row {row}: every square-root tuple is degenerate")
+
+        ref = values[0]
+        aligned = [v if (v / ref).real >= 0 else -v for v in values]
+        g_col = ref * np.exp(np.mean([np.log(v / ref) for v in aligned]))
+        g0[row, col] = g_col
+        for a in range(m):
+            if a != col:
+                g0[row, a] = h_row[col, a] / g_col
+    return g0
+
+
+def random_h_bar(rng, n, m):
+    """Symmetric complex product tables with a NaN diagonal, row scales
+    spread over 24 decades."""
+    h = crandn(rng, n, m, m) * 10.0 ** rng.uniform(-12, 12, (n, 1, 1))
+    h = h + np.swapaxes(h, 1, 2)
+    h[:, np.arange(m), np.arange(m)] = np.nan
+    return h
+
+
+def set_pair(h, row, p, q, value):
+    h[row, p, q] = h[row, q, p] = value
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_initialize_matches_per_row_oracle_bitwise(m):
+    rng = np.random.default_rng(100 + m)
+    h = random_h_bar(rng, 400, m)
+    peak = np.nanmax(np.abs(h[3]))
+    set_pair(h, 0, 1, 2, np.nan)               # NaN denominator
+    set_pair(h, 1, m - 2, m - 1, np.inf)       # infinite denominator
+    set_pair(h, 2, 1, 2, 0.0)                  # zero denominator
+    set_pair(h, 3, 1, 2, 0.5e-12 * peak)       # sub-floor denominator
+    set_pair(h, 4, 0, 1, 0.0)                  # a zero root
+    set_pair(h, 5, 0, m - 1, np.nan)           # a NaN root
+    # the anchor-fallback row, its anchor column zero
+    h[6] = build_h_bar([[0.0] + [2.0 + k for k in range(m - 1)]])[0]
+    h[7] = build_h_bar([crandn(rng, m) * 1e-155])[0]  # subnormal products
+    # a denominator on the floor: at most the floor by abs() of a scalar,
+    # above it by numpy's array abs, which rounds differently
+    floor = 1e-12 * float(np.nanmax(np.abs(h[8][~np.eye(m, dtype=bool)])))
+    ring = floor * np.exp(1j * np.linspace(0.01, 1.5, 2001))
+    on_floor = ring[(np.abs(ring) > floor)
+                    & np.array([abs(z) <= floor for z in ring])]
+    set_pair(h, 8, 1, 2, on_floor[0])
+    for anchor in sorted({0, 1, m - 1}):
+        refused = []
+        with np.errstate(all="ignore"):
+            for row in range(9):
+                # a doctored row the per-row code refuses is refused alike
+                try:
+                    oracle_initialize(h[row:row + 1], anchor)
+                except InitializationError:
+                    refused.append(row)
+                    with pytest.raises(InitializationError):
+                        initialize(h[row:row + 1], anchor)
+            kept = np.delete(h, refused, axis=0)
+            expected = oracle_initialize(kept, anchor)
+            got = initialize(kept, anchor)
+        # a NaN product propagates to its entry in both
+        assert np.array_equal(got, expected, equal_nan=True)
+
+
+def test_initialize_degenerate_rows_match_oracle_bitwise():
+    # the anchor-fallback example, and a row the fallback cannot save,
+    # whose error names the same row as the per-row code's
+    row = np.array([0.0, 2.0, 3.0, 4.0], dtype=complex)
+    h = build_h_bar([row, row + 1j])
+    assert np.array_equal(initialize(h), oracle_initialize(h))
+    h = np.concatenate([h, build_h_bar([[1.0, 1.0, 1.0, 1.0]])])
+    for p, q in itertools.combinations(range(1, 4), 2):
+        set_pair(h, 2, p, q, 0.0)
+    for init in (initialize, oracle_initialize):
+        with pytest.raises(InitializationError, match="row 2:"):
+            init(h)
 
 
 # --------------------------------------------------------------- refinement
@@ -414,6 +533,72 @@ def test_row_sweep_matches_per_entry_oracle(m, m_t, n_diffs):
             assert j == pytest.approx(o_j, rel=1e-12)
             g_prev = g
     assert not np.any(state.g[2])
+
+
+def oracle_sweep(state, on_update=None):
+    """The per-entry pair sweep, kept as the reference that the list sweep
+    must match bit for bit: g's row is read from and written to the array
+    entry by entry, and every gradient of an entry's support is updated."""
+    pair_of = {pair: q for q, pair in enumerate(state.pairs)}
+    tables = [[(c, pair_of[min(a, c), max(a, c)])
+               for c in range(state.m) if c != a] for a in range(state.m)]
+    knn_all = state.kp.diagonal().real.tolist()
+    for n in range(state.n):
+        grad = (state.kp[n] @ state.residuals).tolist()
+        knn = knn_all[n]
+        row = state.g[n].tolist()
+        for a, support in enumerate(tables):
+            num = 0j
+            nrm = 0.0
+            for c, q in support:
+                x = row[c]
+                nrm += x.real * x.real + x.imag * x.imag
+                num += x.conjugate() * grad[q]
+            den = knn * nrm
+            if den <= 0.0:
+                continue
+            step = num / den
+            row[a] += step
+            state.g[n, a] = row[a]
+            k_step = knn * step
+            for c, q in support:
+                grad[q] -= k_step * row[c]
+            if on_update is not None:
+                on_update(n, a)
+        g = state.g[n].tolist()
+        state.residuals[n] = [h - g[i] * g[j]
+                              for h, (i, j) in zip(state.h_rows[n], state.pairs)]
+
+
+@pytest.mark.parametrize("m,m_t", [(4, 1), (4, 2), (6, 1), (6, 2)])
+def test_refine_matches_per_entry_sweep_bitwise(m, m_t, monkeypatch):
+    obs, g0 = perturbed_round(m, m_t, None)
+    g0[2] = 0.0       # every entry of row 2 has zero curvature
+    est = refine(obs, g0, max_sweeps=5, tol=0.0)
+    monkeypatch.setattr(_MLObjective, "sweep", oracle_sweep)
+    expected = refine(obs, g0, max_sweeps=5, tol=0.0)
+    assert est.iterations_run == expected.iterations_run == 5
+    assert np.array_equal(est.g_hat, expected.g_hat)
+    assert np.array_equal(est.objective_trace, expected.objective_trace)
+
+
+@pytest.mark.parametrize("m,m_t", [(4, 1), (6, 2)])
+def test_sweep_callback_sees_per_entry_sweep_g(m, m_t):
+    # g is current at every callback, the rows done earlier in the sweep
+    # included, and the residuals match after every sweep
+    obs, g0 = perturbed_round(m, m_t, None)
+    g0[4, 1:] = 0.0   # of row 4 only (4, 0) moves in the first sweep
+    runs = []
+    for sweep in (_MLObjective.sweep, oracle_sweep):
+        state = _MLObjective(obs, g0.copy())
+        seen = []
+        for _ in range(2):
+            sweep(state, lambda row, col: seen.append(((row, col), state.g.copy())))
+            seen.append((None, state.residuals.copy()))
+        runs.append(seen)
+    got, expected = runs
+    assert [s[0] for s in got] == [e[0] for e in expected]
+    assert all(np.array_equal(s[1], e[1]) for s, e in zip(got, expected))
 
 
 def snapshot(state, obs):

@@ -113,6 +113,29 @@ def test_convergence_csv_cells_are_numbers(tmp_path):
             float(cell)
 
 
+def noise_scaled_chanest_campaign(k):
+    """The chanest_sweep scene and seed, cut to 2 points and 2 trials, with
+    the noise power scaled by 10^(2k) at a fixed pilot SNR: the pilot power
+    follows the noise, so every amplitude the estimator sees scales alike."""
+    spec = ExperimentSpec(
+        scene=SceneConfig(m_antennas=4, n_x=5, n_y=5, sigma2_dbm=-120.0 + 20 * k),
+        pilot=PilotParams(m_t=1, snr_db=15.0),
+        points=[{"m_antennas": 4, "snr_db": 5.0},
+                {"m_antennas": 6, "m_t": 2, "snr_db": 15.0}],
+        trials=2, master_seed=106)
+    return run_chanest_campaign(spec).trial_rows
+
+
+def test_chanest_campaign_invariant_to_noise_scale():
+    base = noise_scaled_chanest_campaign(0)
+    for k in (-6, 6):
+        scaled = noise_scaled_chanest_campaign(k)
+        assert [(r["sweeps"], r["converged"]) for r in scaled] \
+            == [(r["sweeps"], r["converged"]) for r in base]
+        for row, ref in zip(scaled, base):
+            assert row["ne"] == pytest.approx(ref["ne"], rel=1e-9, abs=0.0)
+
+
 def localization_spec(**kw):
     base = dict(
         scene=noiseless_scene(n_x=3, n_y=2),

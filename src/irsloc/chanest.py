@@ -28,18 +28,22 @@ N x M(M-1)/2 pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j]
 alone, and its iterates are those of the full-residual sweep up to rounding.
 An update of g[n, a] changes only row n of R; per IRS row one product
 G = Kp[n] @ R gives the pair gradient, and each entry step reads and updates
-it in O(M) plain-complex work.  The sweep holds g, its conjugates and its
-|g|^2 as Python lists and updates only the gradients the row still reads.
-For a partly used last pattern the schedule's ``pattern_gram`` raises
-ValueError, and ``refine`` with it.
+it in O(M) plain-complex work.  A row's M steps run as one straight-line
+function, the row kernel, whose source is generated and compiled once per M
+(``_row_kernel``): g's row, its conjugates, its |g|^2 and the pair
+gradients are its local variables, and it updates only the gradients the
+row still reads.  For a partly used last pattern the schedule's
+``pattern_gram`` raises ValueError, and ``refine`` with it.
 
 ``initialize`` computes every row whose anchor tuples are all usable in
 one pass of array operations, and the remaining rows one by one.  Both
-paths, and the list sweep, round exactly as the scalar per-row and
-per-entry code they replace, so campaign output is byte for byte the
-same.  numpy's complex *array* product may fuse multiply-adds and differ
-from the scalar product in the last bit, so the vectorized initializer
-forms its products from real parts (``_scalar_mul``).
+paths, the row kernel and the product averaging round exactly as the
+scalar per-row and per-entry code and the ``np.add.at`` scatter they
+replace, so campaign output is byte for byte the same.  numpy's complex
+*array* product may fuse multiply-adds and differ from the scalar product
+in the last bit, so the vectorized initializer forms its products from
+real parts (``_scalar_mul``), and the kernel multiplies Python complex
+scalars only.
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -49,6 +53,7 @@ so the 2^N minimization collapses to N independent choices).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -62,7 +67,8 @@ class CoverageError(ValueError):
 
 
 class InitializationError(RuntimeError):
-    """All square-root tuples for some channel row were degenerate."""
+    """A channel row could not be initialized: all its square-root tuples
+    were degenerate, or an entry of its estimate is not finite."""
 
 
 def pairwise_products(obs: ObservationSet) -> np.ndarray:
@@ -82,12 +88,14 @@ def _average_products(sched, omega: np.ndarray):
 
     sums = np.zeros((n, m, m), dtype=complex)
     counts = np.zeros((m, m), dtype=int)
+    # a validated split has disjoint transmit and receive sets of M_t and
+    # M - M_t antennas, so (ai, bj) names no cell twice and a plain scatter
+    # adds what np.add.at would, in the same subframe order
     for p, (a_set, b_set) in enumerate(sched.subframes):
-        block = omega[p].reshape(n, m_t, n_rx)
         ai = np.asarray(a_set)[:, None]
         bj = np.asarray(b_set)[None, :]
-        np.add.at(sums, (slice(None), ai, bj), block)
-        np.add.at(counts, (ai, bj), 1)
+        sums[:, ai, bj] += omega[p].reshape(n, m_t, n_rx)
+        counts[ai, bj] += 1
 
     sums = sums + np.swapaxes(sums, 1, 2)
     counts = counts + counts.T
@@ -128,6 +136,9 @@ def initialize(h_bar: np.ndarray, anchor: int = 0) -> np.ndarray:
     Rows whose every anchor tuple is usable are computed together, with the
     same floating-point operations as the per-row path; a row with a
     degenerate tuple takes ``_initialize_row``, the anchor fallback included.
+    Raises InitializationError naming the row when a row has no usable
+    tuple, or when an entry of the estimate is not finite (a NaN or
+    infinite product outside the anchor's usable tuples reaches it).
     """
     n, m = h_bar.shape[0], h_bar.shape[1]
     if m < 3:
@@ -157,6 +168,10 @@ def initialize(h_bar: np.ndarray, anchor: int = 0) -> np.ndarray:
     g0[np.ix_(usable, others)] = h_bar[usable, anchor][:, others] / g_col[:, None]
     for row in np.flatnonzero(~usable):
         g0[row] = _initialize_row(h_bar[row], anchor, row)
+    bad = np.flatnonzero(~np.isfinite(g0).all(axis=1))
+    if bad.size:
+        raise InitializationError(f"row {bad[0]}: a non-finite entry, from a "
+                                  "non-finite averaged product")
     return g0
 
 
@@ -246,16 +261,8 @@ class _MLObjective:
         self.kp = sched.pattern_gram
         self.g = g
 
-        self.pairs = [(i, j) for i in range(self.m) for j in range(i + 1, self.m)]
-        pair_of = {pair: q for q, pair in enumerate(self.pairs)}
-        # per column a: each cofactor column c with the pair index of
-        # {a, c}, and the part of that list an entry step still reads after
-        # its update, the pairs with c > a
-        self.steps = []
-        for a in range(self.m):
-            support = [(c, pair_of[min(a, c), max(a, c)])
-                       for c in range(self.m) if c != a]
-            self.steps.append((a, support, [(c, q) for c, q in support if c > a]))
+        # the pair order the row kernel reads its gradients and products in
+        self.pairs = list(itertools.combinations(range(self.m), 2))
         pi, pj = (np.array(ix) for ix in zip(*self.pairs))
 
         omega = ls_estimates(obs)
@@ -280,9 +287,7 @@ class _MLObjective:
 
     def refresh_row(self, row: int):
         """Pair residuals of channel row ``row`` recomputed from g."""
-        self._set_residuals(row, self.g[row].tolist())
-
-    def _set_residuals(self, row: int, g: list):
+        g = self.g[row].tolist()
         self.residuals[row] = [h - g[i] * g[j]
                                for h, (i, j) in zip(self.h_rows[row], self.pairs)]
 
@@ -295,45 +300,83 @@ class _MLObjective:
 
         g is held as Python lists for the sweep and written back at its
         end.  Per row, one product gives the pair gradient G = Kp[row] @ R
-        at the row's start; with the row's conjugates and |g|^2, also held
-        as lists, each entry step then reads and updates it in O(M)
-        plain-complex work.  After entry a's step only the pairs {a, c}
-        with c > a are read again in the row, so only their gradients are
-        updated.  The row ends with its residuals formed from the list.
-        An entry with zero curvature is skipped; after every other step
-        ``on_update(row, col)`` is called with g current (the entry is
-        written through when a callback is given) and the row's residuals
-        not yet refreshed.
+        at the row's start, and one call of the row kernel for M
+        (``_row_kernel``) runs the row's M entry steps and returns its
+        pair residuals.  An entry with zero curvature is skipped; after
+        every other step ``on_update(row, col)`` is called with g current
+        (the kernel's callback variant writes the entry through) and the
+        row's residuals not yet refreshed.
         """
-        knn_all = self.kp.diagonal().real.tolist()
+        kernel = _row_kernel(self.m, on_update is not None)
+        knn = self.kp.diagonal().real.tolist()
         rows = self.g.tolist()
         for n, row in enumerate(rows):
-            grad = (self.kp[n] @ self.residuals).tolist()
-            knn = knn_all[n]
-            conj = [x.conjugate() for x in row]
-            abs2 = [x.real * x.real + x.imag * x.imag for x in row]
-            for a, support, ahead in self.steps:
-                num = 0j
-                nrm = 0.0
-                for c, q in support:
-                    nrm += abs2[c]
-                    num += conj[c] * grad[q]
-                den = knn * nrm
-                if den <= 0.0:
-                    continue
-                step = num / den
-                x = row[a] + step
-                row[a] = x
-                conj[a] = x.conjugate()
-                abs2[a] = x.real * x.real + x.imag * x.imag
-                k_step = knn * step
-                for c, q in ahead:
-                    grad[q] -= k_step * row[c]
-                if on_update is not None:
-                    self.g[n, a] = x
-                    on_update(n, a)
-            self._set_residuals(n, row)
+            self.residuals[n] = kernel(row, (self.kp[n] @ self.residuals).tolist(),
+                                       knn[n], self.h_rows[n], n, self.g, on_update)
         self.g[:] = rows
+
+
+@functools.cache
+def _row_kernel(m: int, callback: bool = False):
+    """The entry steps of one IRS row of an M-antenna sweep, as one
+    straight-line function, built and compiled on first use per M.
+
+    ``kernel(row, grad, knn, h, n, g_out, on_update)`` takes the row of g
+    as a list, which it updates in place, the row's pair gradients
+    G = Kp[n] @ R and the diagonal weight Kp[n, n] (``knn``), and returns
+    the row's pair residuals ``h - g_i g_j`` formed from the averaged
+    products ``h``.  g, its conjugates, its |g|^2 and the pair gradients
+    are local variables.  Entry a's step is
+
+        num = sum_c conj(g_c) G_{ac},  den = knn sum_c |g_c|^2,
+        g_a += num / den,
+
+    over the cofactor columns c != a in increasing order, accumulated from
+    0j and 0.0 one term at a time (not with ``sum``, which compensates
+    float sums from Python 3.12 on), then G_{ac} -= knn step g_c for the
+    pairs with c > a, the only ones the row reads again; it is skipped
+    when ``den <= 0.0``, so a NaN curvature still updates.  These are the
+    per-entry sweep's operations in its order, so the result is the same
+    to the bit.  The callback variant writes each updated entry to
+    ``g_out[n, a]`` and calls ``on_update(n, a)``; the plain one ignores
+    the last three arguments.  The source is compiled under the file name
+    ``<chanest row kernel M=m>`` so that tracebacks and profilers name it.
+    """
+    pair_of = {pair: q for q, pair in enumerate(itertools.combinations(range(m), 2))}
+    entries = ", ".join(f"g{a}" for a in range(m))
+    src = ["def row_kernel(row, grad, knn, h, n, g_out, on_update):",
+           f"    {entries}, = row",
+           f"    {', '.join(f'd{q}' for q in pair_of.values())}, = grad"]
+    src += [f"    c{a} = g{a}.conjugate()\n"
+            f"    s{a} = g{a}.real * g{a}.real + g{a}.imag * g{a}.imag"
+            for a in range(m)]
+    for a in range(m):
+        support = [(c, pair_of[min(a, c), max(a, c)]) for c in range(m) if c != a]
+        src += [f"    # entry {a}", "    nrm = 0.0"]
+        src += [f"    nrm += s{c}" for c, _ in support]
+        src += ["    num = 0j"]
+        src += [f"    num += c{c} * d{q}" for c, q in support]
+        src += ["    den = knn * nrm",
+                "    if den <= 0.0:",
+                "        pass",
+                "    else:",
+                "        step = num / den",
+                f"        g{a} = g{a} + step"]
+        if a < m - 1:
+            src += [f"        c{a} = g{a}.conjugate()",
+                    f"        s{a} = g{a}.real * g{a}.real + g{a}.imag * g{a}.imag",
+                    "        k_step = knn * step"]
+            src += [f"        d{q} -= k_step * g{c}" for c, q in support if c > a]
+        if callback:
+            src += [f"        g_out[n, {a}] = g{a}", f"        on_update(n, {a})"]
+    src += [f"    row[:] = {entries}",
+            f"    {', '.join(f'h{q}' for q in pair_of.values())}, = h",
+            "    return [" + ", ".join(f"h{q} - g{i} * g{j}"
+                                       for (i, j), q in pair_of.items()) + "]"]
+    name = f"<chanest row kernel M={m}{', callback' if callback else ''}>"
+    namespace = {}
+    exec(compile("\n".join(src) + "\n", name, "exec"), namespace)
+    return namespace["row_kernel"]
 
 
 def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,

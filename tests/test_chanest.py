@@ -1,4 +1,5 @@
 import itertools
+import traceback
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from irsloc.chanest import (InitializationError, _MLObjective,
-                            estimate_channel, initialize, normalized_error,
-                            pairwise_products, refine)
+from irsloc.chanest import (InitializationError, _average_products,
+                            _MLObjective, _row_kernel, estimate_channel,
+                            initialize, normalized_error, pairwise_products,
+                            refine)
 from irsloc.pilot import (build_design_matrix, build_schedule, ls_covariance,
                           ls_estimates, simulate_pilot_round)
 from irsloc.scene import SceneConfig, synthesize_scene
@@ -80,6 +82,38 @@ def test_averaging_reduces_error():
         single = ls_estimates(obs)[0].reshape(scene.G.shape[0], 1, 3)[:, 0, 0]
         err_single.append(np.abs(single - truth) ** 2)
     assert np.mean(err_avg) < np.mean(err_single)
+
+
+def oracle_average_products(sched, omega):
+    """The np.add.at scatter, kept as the reference that the plain scatter
+    of ``_average_products`` must match bit for bit."""
+    n, m, m_t, n_rx = sched.n_elements, sched.m_antennas, sched.m_t, sched.n_rx
+    sums = np.zeros((n, m, m), dtype=complex)
+    counts = np.zeros((m, m), dtype=int)
+    for p, (a_set, b_set) in enumerate(sched.subframes):
+        block = omega[p].reshape(n, m_t, n_rx)
+        ai = np.asarray(a_set)[:, None]
+        bj = np.asarray(b_set)[None, :]
+        np.add.at(sums, (slice(None), ai, bj), block)
+        np.add.at(counts, (ai, bj), 1)
+    sums = sums + np.swapaxes(sums, 1, 2)
+    counts = counts + counts.T
+    off_diag = ~np.eye(m, dtype=bool)
+    h_bar = np.full((n, m, m), np.nan, dtype=complex)
+    h_bar[:, off_diag] = sums[:, off_diag] / counts[off_diag]
+    return h_bar, counts
+
+
+@pytest.mark.parametrize("m_t", [1, 2, 3])
+def test_average_products_matches_add_at_bitwise(m_t):
+    sched = build_schedule(5, m_t, 6)
+    rng = np.random.default_rng(30 + m_t)
+    dim = sched.n_elements * m_t * sched.n_rx
+    omega = crandn(rng, sched.n_subframes, dim) * 10.0 ** rng.uniform(-12, 12, dim)
+    h_bar, counts = _average_products(sched, omega)
+    expected, expected_counts = oracle_average_products(sched, omega)
+    assert np.array_equal(h_bar, expected, equal_nan=True)
+    assert np.array_equal(counts, expected_counts)
 
 
 # ---------------------------------------------------------- initialization
@@ -237,21 +271,27 @@ def test_initialize_matches_per_row_oracle_bitwise(m):
                     & np.array([abs(z) <= floor for z in ring])]
     set_pair(h, 8, 1, 2, on_floor[0])
     for anchor in sorted({0, 1, m - 1}):
-        refused = []
+        refused, nonfinite = [], 0
         with np.errstate(all="ignore"):
             for row in range(9):
-                # a doctored row the per-row code refuses is refused alike
+                # a doctored row the per-row code refuses, or gives a
+                # non-finite entry, is refused, and the error names it
                 try:
-                    oracle_initialize(h[row:row + 1], anchor)
+                    g_row = oracle_initialize(h[row:row + 1], anchor)
                 except InitializationError:
+                    g_row = None
+                if g_row is None or not np.isfinite(g_row).all():
                     refused.append(row)
-                    with pytest.raises(InitializationError):
+                    nonfinite += g_row is not None
+                    with pytest.raises(InitializationError, match="row 0:"):
                         initialize(h[row:row + 1], anchor)
             kept = np.delete(h, refused, axis=0)
             expected = oracle_initialize(kept, anchor)
             got = initialize(kept, anchor)
-        # a NaN product propagates to its entry in both
-        assert np.array_equal(got, expected, equal_nan=True)
+        # from M = 4 a NaN product outside the usable tuples reaches an
+        # entry of the per-row code's estimate, and is refused here
+        assert nonfinite or m == 3
+        assert np.array_equal(got, expected)
 
 
 def test_initialize_degenerate_rows_match_oracle_bitwise():
@@ -599,6 +639,56 @@ def test_sweep_callback_sees_per_entry_sweep_g(m, m_t):
     got, expected = runs
     assert [s[0] for s in got] == [e[0] for e in expected]
     assert all(np.array_equal(s[1], e[1]) for s, e in zip(got, expected))
+
+
+@pytest.mark.parametrize("m_t", [1, 2])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_row_kernels_match_per_entry_sweep_bitwise(m, m_t):
+    # both kernel variants, three sweeps; row 2 has zero curvature and is
+    # skipped, while row 4's NaN entry makes its other entries' curvature
+    # NaN, and those are updated (the skip test is den <= 0.0)
+    obs, g0 = perturbed_round(m, m_t, None)
+    g0[2] = 0.0
+    g0[4, m - 1] = np.nan
+    runs = []
+    for sweep, callback in [(oracle_sweep, True), (_MLObjective.sweep, True),
+                            (oracle_sweep, False), (_MLObjective.sweep, False)]:
+        state = _MLObjective(obs, g0.copy())
+        seen = []
+        on_update = (lambda row, col: seen.append(((row, col), state.g.copy()))) \
+            if callback else None
+        for _ in range(3):
+            sweep(state, on_update)
+            seen.append((None, state.g.copy()))
+            seen.append((None, state.residuals.copy()))
+        runs.append(seen)
+    for got, expected in (runs[1], runs[0]), (runs[3], runs[2]):
+        assert [s[0] for s in got] == [e[0] for e in expected]
+        assert all(np.array_equal(s[1], e[1], equal_nan=True)
+                   for s, e in zip(got, expected))
+    assert not np.any(runs[3][-2][1][2])
+    assert np.isnan(runs[3][0][1][4, 0])
+
+
+def test_row_kernel_cached_per_m_and_named_in_tracebacks():
+    for m in (3, 6):
+        assert _row_kernel(m) is _row_kernel(m)
+        assert _row_kernel(m, True) is _row_kernel(m, True)
+        assert _row_kernel(m, True) is not _row_kernel(m)
+    # a gradient list too short for M = 5 fails inside the kernel
+    with pytest.raises(ValueError) as info:
+        _row_kernel(5)([1j] * 5, [0j] * 3, 1.0, [0j] * 10, 0, None, None)
+    assert traceback.extract_tb(info.tb)[-1].filename == "<chanest row kernel M=5>"
+    # and a failing callback is called from the callback variant
+    obs, g0 = perturbed_round(4, 1, None)
+
+    def fail(row, col):
+        raise RuntimeError("callback")
+
+    with pytest.raises(RuntimeError) as info:
+        _MLObjective(obs, g0).sweep(fail)
+    assert "<chanest row kernel M=4, callback>" in [
+        frame.filename for frame in traceback.extract_tb(info.tb)]
 
 
 def snapshot(state, obs):

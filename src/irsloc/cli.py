@@ -149,7 +149,7 @@ def cmd_bqp_solve(args) -> int:
     if n <= 12:
         best = max(prob.ratio(d) for d in bqp.sign_vectors(n))
         payload["enumeration_ratio"] = best
-        payload["verified"] = bool(abs(best - res.ratio) <= 1e-9 * max(1.0, best))
+        payload["verified"] = bool(abs(best - res.ratio) <= 1e-9 * abs(best))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "bqp_solution.json"

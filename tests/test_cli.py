@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from irsloc.cli import main
+from irsloc.util import crandn
 
 
 TINY_CAMPAIGN = {
@@ -122,6 +123,23 @@ def test_bqp_solve_verified(tmp_path):
     assert payload["converged"]
     assert payload["verified"] is True
     assert len(payload["delta"]) == 8
+
+
+def test_bqp_solve_verified_is_relative(tmp_path, monkeypatch):
+    """At echo scale (the numerator vector scaled by 2^-40) ``verified``
+    compares the ratio with the enumerated maximum relative to its size."""
+    from irsloc import cli
+
+    def tiny_numerator(rng, *shape):
+        z = crandn(rng, *shape)
+        return z * 2.0 ** -40 if len(shape) == 1 else z
+    monkeypatch.setattr(cli, "crandn", tiny_numerator)
+    for seed in range(10):
+        out = tmp_path / str(seed)
+        assert main(["bqp-solve", "--seed", str(seed), "--out", str(out)]) == 0
+        payload = json.loads((out / "bqp_solution.json").read_text())
+        best, ratio = payload["enumeration_ratio"], payload["ratio"]
+        assert payload["verified"] == (abs(best - ratio) <= 1e-9 * abs(best))
 
 
 def test_waveopt_trace_outputs(tmp_path):

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from irsloc.util import crandn, random_unit_modulus, vec
-from irsloc.waveopt import (DistanceContext, OptimizerState, _Lift,
-                            _PhaseAscent, _best_phase, build_context,
-                            constraint_violation, dominant_power_vector,
-                            in_row_coupling, optimize, pair_distance,
+from irsloc.waveopt import (DistanceContext, OptimizerState, _PhaseAscent,
+                            _best_phase, build_context, constraint_violation,
+                            dominant_power_vector, optimize, pair_distance,
                             penalty_optimize, penalty_value, update_q,
                             update_theta, update_x, weighted_distance)
 
@@ -143,111 +142,96 @@ def test_distances_match_literal_traces_on_general_q():
             assert pair_distance(ctx, q, x, i, j) == pytest.approx(want, rel=1e-9)
 
 
+def quadratic_form_matrix(f, m):
+    """The Hermitian Z with f(x) = x^H Z x, by polarization of the real
+    quadratic form f over the unit vectors of C^m."""
+    eye = np.eye(m)
+    diag = [f(e) for e in eye]
+    z = np.diag(diag).astype(complex)
+    for a in range(m):
+        for b in range(a + 1, m):
+            re = f(eye[a] + eye[b]) - diag[a] - diag[b]
+            im = f(eye[a] + 1j * eye[b]) - diag[a] - diag[b]
+            z[a, b] = (re - 1j * im) / 2.0
+            z[b, a] = np.conj(z[a, b])
+    return z
+
+
+def distance_matrix(ctx, q):
+    """Z with x^H Z x the weighted distance at the lifted matrix q."""
+    return quadratic_form_matrix(lambda x: weighted_distance(ctx, q, x),
+                                 ctx.factors.shape[2])
+
+
 def test_waveform_matrix_matches_literal_traces_on_general_q():
+    """update_x takes the power-saturated dominant eigenvector of the Z
+    with x^H Z x the literal trace sum at a general Q."""
     rng = np.random.default_rng(21)
     for _ in range(5):
         ctx = random_context(rng, n=5, m=4, n_hyp=3)
-        q, x = general_q(rng, 5), crandn(rng, 4)
-        z = _Lift(ctx, q).waveform_matrix()
-        want = literal_distance(ctx, q, x, literal_terms(ctx, weighted_pairs(ctx)))
-        assert np.real(x.conj() @ z @ x) == pytest.approx(want, rel=1e-9)
+        q = general_q(rng, 5)
+        terms = literal_terms(ctx, weighted_pairs(ctx))
+        z = quadratic_form_matrix(
+            lambda x: literal_distance(ctx, q, x, terms), 4)
+        state = OptimizerState(q=q, theta=random_unit_modulus(rng, 5),
+                               x=crandn(rng, 4), rho=1.0, power_budget=9.0)
+        update_x(state, ctx)
+        assert np.linalg.norm(state.x) ** 2 == pytest.approx(9.0, rel=1e-12)
+        assert np.real(state.x.conj() @ z @ state.x) == pytest.approx(
+            9.0 * np.linalg.eigvalsh(z)[-1], rel=1e-9)
 
 
-def test_update_q_gradient_matches_literal_traces_on_general_q():
-    rng = np.random.default_rng(22)
-    ctx = random_context(rng, n=6, m=3, n_hyp=3)
-    q, x = general_q(rng, 6), crandn(rng, 3)
-    terms = literal_terms(ctx, weighted_pairs(ctx))
+def literal_entry_coefficients(ctx, state, q, terms):
+    """The linear coefficient of every Q entry in the penalized objective at
+    Q = q, from the literal traces: the distance gradient
+    sum w A_ij Q B_ij, minus the self-quadratic part chi o Q (chi[m, n] =
+    sum w A_ij[m, m] B_ij[n, n]), plus theta theta^H / (4 rho)."""
+    x = state.x
     grad = sum(w * literal_a(ctx, i, j) @ q @ literal_b(ctx, i, j, x)
                for w, i, j in terms)
     chi = sum(w * np.outer(np.diag(literal_a(ctx, i, j)),
                            np.diag(literal_b(ctx, i, j, x)))
               for w, i, j in terms)
-    v = ctx.factors @ x
-    t = _Lift(ctx, q).gradient_rows(x)
-    got = t.T @ v
-    for m, n in ((0, 0), (1, 4), (5, 2)):
-        assert abs(got[m, n] - grad[m, n]) <= 1e-9 * abs(grad[m, n])
-    assert np.allclose(np.diagonal(in_row_coupling(ctx, v), axis1=1, axis2=2),
-                       chi, rtol=1e-9, atol=0)
-    # after an entry step, row_steps moves the gradient weights of every
-    # row to those of the changed Q
-    new_q = q.copy()
-    new_q[3, 1] *= np.exp(0.7j)
-    steps = np.zeros(6, dtype=complex)
-    steps[1] = new_q[3, 1] - q[3, 1]
-    t.reshape(-1)[:] += ctx.row_steps[3] @ (v.conj() @ steps)
-    grad = sum(w * literal_a(ctx, i, j) @ new_q @ literal_b(ctx, i, j, x)
-               for w, i, j in terms)
-    got = t.T @ v
-    assert np.abs(got - grad).max() <= 1e-9 * np.abs(grad).max()
-    assert _Lift(ctx, new_q).distance(x) == pytest.approx(
-        literal_distance(ctx, new_q, x, terms), rel=1e-9)
+    return grad - chi * q + np.outer(state.theta, state.theta.conj()) \
+        / (4.0 * state.rho)
 
 
-def test_in_row_coupling_matches_literal_traces():
-    """H[m][n, n'] = sum w A_ij[m, m] B_ij[n', n], diagonal chi[m, n]."""
-    rng = np.random.default_rng(23)
-    for n_el, m_ant, n_hyp in ((5, 3, 3), (4, 2, 4), (1, 3, 2)):
-        ctx = random_context(rng, n=n_el, m=m_ant, n_hyp=n_hyp)
-        x = crandn(rng, m_ant)
-        terms = literal_terms(ctx, weighted_pairs(ctx))
-        want = sum(w * np.diag(literal_a(ctx, i, j))[:, None, None]
-                   * literal_b(ctx, i, j, x).T[None]
-                   for w, i, j in terms)
-        got = in_row_coupling(ctx, ctx.factors @ x)
-        assert got.shape == (n_el, n_el, n_el)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        chi = sum(w * np.outer(np.diag(literal_a(ctx, i, j)),
-                               np.diag(literal_b(ctx, i, j, x)))
-                  for w, i, j in terms)
-        assert np.abs(np.diagonal(got, axis1=1, axis2=2) - chi).max() \
-            <= 1e-12 * np.abs(chi).max()
+def test_update_q_gradient_matches_literal_traces_on_general_q():
+    """Every entry of the sweep takes the phase of its literal coefficient
+    at the Q the entries before it left, and moves only itself."""
+    rng = np.random.default_rng(22)
+    n = 6
+    ctx = random_context(rng, n=n, m=3, n_hyp=3)
+    state = make_state(rng, ctx)
+    state.q = general_q(rng, n)
+    terms = literal_terms(ctx, weighted_pairs(ctx))
+    seen = [state.q.copy()]
+    errors = []
 
+    def check():
+        m, col = divmod(len(errors), n)
+        before = seen[-1]
+        mu = literal_entry_coefficients(ctx, state, before, terms)[m, col]
+        errors.append(abs(state.q[m, col] - mu / abs(mu)))
+        moved = state.q != before
+        moved[m, col] = False
+        assert not moved.any()
+        seen.append(state.q.copy())
 
-def oracle_carriers(ctx, q, x):
-    """C_ij = U_i^T Q v_j^* straight from the factors (I x I x M)."""
-    v = ctx.factors @ x
-    return np.einsum("inm,jn->ijm", ctx.factors, v.conj() @ q.T)
-
-
-def oracle_distance(ctx, q, x):
-    """sum_ij W_ij C_ji^H C_ij from freshly formed carriers."""
-    c = oracle_carriers(ctx, q, x)
-    return float(np.real(np.einsum("ij,jim,ijm->", ctx.term_weights,
-                                   c.conj(), c)))
-
-
-def oracle_waveform_matrix(ctx, q):
-    """Z = sum_ij W_ij E_ij^T E_ji^* by two einsums over E_ij = U_i^T Q U_j^*."""
-    u = ctx.factors
-    e = np.einsum("ink,jnl->ijkl", u, q @ u.conj())
-    z = np.einsum("ij,ijkm,jikn->mn", ctx.term_weights, e, e.conj())
-    return (z + z.conj().T) / 2.0
-
-
-@pytest.mark.parametrize("n, m, n_hyp", [(1, 3, 2), (5, 4, 3), (10, 4, 4),
-                                         (20, 6, 4)])
-def test_lift_matches_einsum_forms(n, m, n_hyp):
-    """Carriers, distance, gradient weights and Z read off one E agree with
-    their direct einsum forms."""
-    rng = np.random.default_rng(60 + n)
-    ctx = random_context(rng, n=n, m=m, n_hyp=n_hyp)
-    q, x = general_q(rng, n), crandn(rng, m)
-    lift = _Lift(ctx, q)
-    c = oracle_carriers(ctx, q, x)
-    assert np.abs(lift.carriers(x) - c).max() <= 1e-12 * np.abs(c).max()
-    assert lift.distance(x) == pytest.approx(oracle_distance(ctx, q, x),
-                                             rel=1e-12)
-    z, want = lift.waveform_matrix(), oracle_waveform_matrix(ctx, q)
-    assert np.abs(z - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.array_equal(z, z.conj().T)
-    # T^T V is the Q-gradient of the carriers' distance
-    v = ctx.factors @ x
-    t = np.einsum("ij,in,jmk,ijk->mn", ctx.term_weights, v,
-                  ctx.factors.conj(), c)
-    got = lift.gradient_rows(x).T @ v
-    assert np.abs(got - t).max() <= 1e-12 * np.abs(t).max()
+    for _ in range(2):
+        errors.clear()
+        update_q(state, ctx, on_update=check)
+        assert len(errors) == n * n
+        assert max(errors) <= 1e-9
+    # a zero coefficient skips the entry and its callback
+    flat = DistanceContext(channels=ctx.channels, steering=ctx.steering,
+                           alphas=ctx.alphas, weights=np.zeros_like(ctx.weights),
+                           snapshots=8, noise_power=0.5)
+    state.theta[:] = 0.0
+    calls = []
+    before = state.q.copy()
+    update_q(state, flat, on_update=lambda: calls.append(1))
+    assert not calls and np.array_equal(state.q, before)
 
 
 # ------------------------------------------------------------- Q updates
@@ -272,129 +256,69 @@ def test_update_q_unit_modulus_and_monotone():
 
 
 def test_update_q_entry_matches_phase_grid():
+    """The sweep's step of one entry reaches the 4096-point phase-grid
+    maximum of the penalized objective over that entry."""
     rng = np.random.default_rng(4)
-    ctx = random_context(rng, n=4)
+    n = 4
+    ctx = random_context(rng, n=n)
     state = make_state(rng, ctx)
-    m, n = 1, 2
+    m, col = 1, 2
+    seen = [state.q.copy()]
+    update_q(state, ctx, on_update=lambda: seen.append(state.q.copy()))
+    assert len(seen) == n * n + 1
+    before, after = seen[m * n + col], seen[m * n + col + 1]
 
-    def objective_with_phase(phase):
-        q = state.q.copy()
-        q[m, n] = np.exp(1j * phase)
+    def objective(q):
         return weighted_distance(ctx, q, state.x) \
             + penalty_value(q, state.theta, state.rho)
 
+    def objective_with_phase(phase):
+        q = before.copy()
+        q[m, col] = np.exp(1j * phase)
+        return objective(q)
+
     phases = np.linspace(0, 2 * np.pi, 4096, endpoint=False)
     grid_best = max(objective_with_phase(p) for p in phases)
-
-    # closed-form single-entry update on a fresh copy
-    probe = OptimizerState(q=state.q.copy(), theta=state.theta.copy(),
-                           x=state.x.copy(), rho=state.rho,
-                           power_budget=state.power_budget)
-    # sweep only entry (m, n): emulate by running the full sweep but
-    # capturing the entry's optimized value through a targeted evaluation
-    v = ctx.factors @ probe.x
-    mu = (_Lift(ctx, probe.q).gradient_rows(probe.x).T @ v)[m, n]
-    mu += probe.theta[m] * np.conj(probe.theta[n]) / (4 * probe.rho)
-    mu -= probe.q[m, n] * in_row_coupling(ctx, v)[m, n, n]
-    closed = objective_with_phase(float(np.angle(mu)))
+    closed = objective(after)
     scale = max(1.0, abs(grid_best))
     assert closed >= grid_best - 1e-9 * scale
 
 
-def oracle_update_q(state, ctx, on_update=None):
-    """The per-entry Gauss-Seidel sweep the row-blocked one replaced: every
-    entry reads its gradient from the carriers and moves them at once."""
-    w, u = ctx.term_weights, ctx.factors
-    v = u @ state.x
-    c = np.einsum("inm,jn->ijm", u, v.conj() @ state.q.T).ravel()
-    a_diag = np.einsum("imk,jmk->ijm", u, u.conj())
-    b_diag = v[:, None, :] * v.conj()[None, :, :]
-    chi = np.einsum("ij,ijm,ijn->mn", w, a_diag, b_diag)
-    q, theta = state.q, state.theta
-    quarter_rho = 1.0 / (4.0 * state.rho)
-    n = ctx.n_elements
-    for m in range(n):
-        grad = np.einsum("ij,in,jk->nijk", w, v, u[:, m].conj()).reshape(n, -1)
-        step = np.einsum("ik,jn->nijk", u[:, m], v.conj()).reshape(n, -1)
-        theta_m = theta[m]
-        for col in range(n):
-            mu = grad[col] @ c
-            mu += quarter_rho * theta_m * np.conj(theta[col])
-            mu -= q[m, col] * chi[m, col]
-            if mu == 0:
-                continue
-            new = np.exp(1j * np.angle(mu))
-            delta = new - q[m, col]
-            if delta != 0:
-                q[m, col] = new
-                c += delta * step[col]
-            if on_update is not None:
-                on_update()
-    return state
-
-
-def copy_state(state):
-    return OptimizerState(q=state.q.copy(), theta=state.theta.copy(),
-                          x=state.x.copy(), rho=state.rho,
-                          power_budget=state.power_budget)
+def fitted_coefficient(f):
+    """b of f(z) = C + 2 Re(z^* b) on the unit circle, fitted from f at 1,
+    -1, i and -i: the exact maximizer over z is b / |b|."""
+    return complex(f(1.0) - f(-1.0), f(1j) - f(-1j)) / 4.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 10, 20])
 def test_update_q_matches_per_entry_oracle(n):
+    """Every entry of the sweep is the exact maximizer of the penalized
+    objective over that entry at the Q the entries before it left, the
+    maximizer fitted from four objective values."""
     rng = np.random.default_rng(30 + n)
     ctx = random_context(rng, n=n, m=4, n_hyp=4)
     state = make_state(rng, ctx)
     state.q = general_q(rng, n)  # non-Hermitian, far from a rank-one lift
-    oracle = copy_state(state)
-    probe = crandn(rng, n)
-    calls, oracle_calls = [], []
+    seen = [state.q.copy()]
+    errors = []
+
+    def check():
+        m, col = divmod(len(errors) % (n * n), n)
+
+        def objective(z):
+            q = seen[-1].copy()
+            q[m, col] = z
+            return weighted_distance(ctx, q, state.x) \
+                + penalty_value(q, state.theta, state.rho)
+
+        b = fitted_coefficient(objective)
+        errors.append(abs(state.q[m, col] - b / abs(b)))
+        seen.append(state.q.copy())
+
     for _ in range(4):
-        update_q(state, ctx, on_update=lambda: calls.append(state.q @ probe))
-        oracle_update_q(
-            oracle, ctx, on_update=lambda: oracle_calls.append(oracle.q @ probe))
-        assert np.abs(state.q - oracle.q).max() <= 1e-12
-    assert len(calls) == len(oracle_calls) == 4 * n * n
-    # the callback sees Q current after every entry, as in the oracle
-    assert np.abs(np.array(calls) - oracle_calls).max() \
-        <= 1e-11 * np.abs(probe).sum()
-    # a zero coefficient skips the entry and its callback, as in the oracle
-    flat = DistanceContext(channels=ctx.channels, steering=ctx.steering,
-                           alphas=ctx.alphas, weights=np.zeros_like(ctx.weights),
-                           snapshots=8, noise_power=0.5)
-    state.theta[:] = 0.0
-    calls.clear()
-    before = state.q.copy()
-    update_q(state, flat, on_update=lambda: calls.append(1))
-    assert not calls and np.array_equal(state.q, before)
-
-
-def oracle_update_theta(state, on_update=None):
-    """The numpy-scalar theta sweep the plain-complex one replaced."""
-    p = (state.q + state.q.conj().T) / 2.0
-    theta = state.theta
-    for m in range(theta.size):
-        v = p[m, :] @ theta - p[m, m] * theta[m]
-        if v == 0:
-            continue
-        theta[m] = np.exp(1j * np.angle(v))
-        if on_update is not None:
-            on_update()
-    return state
-
-
-@pytest.mark.parametrize("n", [1, 2, 7, 20])
-def test_update_theta_matches_oracle(n):
-    rng = np.random.default_rng(40 + n)
-    state = OptimizerState(q=general_q(rng, n), theta=random_unit_modulus(rng, n),
-                           x=np.ones(2), rho=1.0, power_budget=4.0)
-    oracle = copy_state(state)
-    calls, oracle_calls = [], []
-    for _ in range(3):
-        update_theta(state, on_update=lambda: calls.append(1))
-        oracle_update_theta(oracle, on_update=lambda: oracle_calls.append(1))
-        assert np.abs(state.theta - oracle.theta).max() <= 1e-12
-    assert len(calls) == len(oracle_calls)
-    assert state.theta.dtype == complex
+        update_q(state, ctx, on_update=check)
+    assert len(errors) == 4 * n * n
+    assert max(errors) <= 1e-9
 
 
 # ------------------------------------------------------------- x updates
@@ -410,7 +334,7 @@ def test_update_x_saturates_power_and_improves():
     rng = np.random.default_rng(5)
     ctx = random_context(rng)
     state = make_state(rng, ctx, power=9.0)
-    z = _Lift(ctx, state.q).waveform_matrix()
+    z = distance_matrix(ctx, state.q)
     before = np.real(state.x.conj() @ z @ state.x)
     update_x(state, ctx)
     after = np.real(state.x.conj() @ z @ state.x)
@@ -445,6 +369,40 @@ def test_update_theta_fixed_point_and_monotone():
     assert np.abs(np.abs(state.theta) - 1.0).max() < 1e-12
     diffs = np.diff(vals)
     assert np.all(diffs >= -1e-9 * np.maximum(1.0, np.abs(vals[:-1])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 20])
+def test_update_theta_matches_oracle(n):
+    """Every entry of the sweep is the exact maximizer of theta^H P theta,
+    P = (Q + Q^H) / 2, over that entry, fitted from four values; with one
+    element any phase is a maximizer."""
+    rng = np.random.default_rng(40 + n)
+    q = general_q(rng, n)
+    p = (q + q.conj().T) / 2.0
+    state = OptimizerState(q=q, theta=random_unit_modulus(rng, n),
+                           x=np.ones(2), rho=1.0, power_budget=4.0)
+    seen = [state.theta.copy()]
+    errors = []
+
+    def check():
+        m = len(errors) % n
+
+        def value(z):
+            theta = seen[-1].copy()
+            theta[m] = z
+            return np.real(theta.conj() @ p @ theta)
+
+        b = fitted_coefficient(value)
+        errors.append(abs(state.theta[m] - b / abs(b)) if n > 1 else 0.0)
+        seen.append(state.theta.copy())
+
+    for _ in range(3):
+        update_theta(state, on_update=check)
+    if n > 1:
+        assert len(errors) == 3 * n
+        assert max(errors) <= 1e-9
+    assert state.theta.dtype == complex
+    assert np.abs(np.abs(state.theta) - 1.0).max() <= 1e-12
 
 
 # ---------------------------------------------------------------- solver
@@ -486,71 +444,6 @@ def test_optimize_blockwise_monotone_within_stage():
             if val_b < val_a - 1e-9 * max(1.0, abs(val_a)):
                 violations += 1
     assert violations == 0
-
-
-def oracle_optimize(ctx, x_init, theta_init, power_budget, accuracy=1e-7,
-                    penalty_scale=0.5, inner_tol=1e-6, outer_cap=60,
-                    inner_cap=100):
-    """The penalty method as it ran before the E blocks were shared: the
-    per-entry Q sweep, the einsum waveform matrix, the numpy-scalar theta
-    sweep, and every objective evaluated from freshly formed carriers."""
-    theta = np.exp(1j * np.angle(np.asarray(theta_init, dtype=complex)))
-    x = np.sqrt(power_budget) * x_init / np.linalg.norm(x_init)
-    q = np.exp(1j * np.angle(np.outer(theta, theta.conj())))
-    state = OptimizerState(q=q, theta=theta, x=x, power_budget=power_budget,
-                           rho=1e-2 * (oracle_distance(ctx, q, x) + 1.0))
-
-    def objective():
-        return oracle_distance(ctx, state.q, state.x) \
-            + penalty_value(state.q, state.theta, state.rho)
-
-    trace, converged = [], False
-    for outer in range(1, outer_cap + 1):
-        prev = objective()
-        for _ in range(inner_cap):
-            oracle_update_q(state, ctx)
-            z = oracle_waveform_matrix(ctx, state.q)
-            if np.linalg.norm(z) > 0:
-                state.x = dominant_power_vector(z, power_budget)
-            oracle_update_theta(state)
-            cur = objective()
-            if cur - prev <= inner_tol * abs(prev):
-                prev = cur
-                break
-            prev = cur
-        xi = constraint_violation(state.q, state.theta)
-        trace.append((outer, state.rho, xi, prev,
-                      oracle_distance(ctx, state.q, state.x)))
-        if xi < accuracy:
-            converged = True
-            break
-        state.rho *= penalty_scale
-        if np.abs(state.q - state.q.conj().T).max() > 1e-9:
-            sym = (state.q + state.q.conj().T) / 2.0
-            state.q = np.where(np.abs(sym) > 1e-30, np.exp(1j * np.angle(sym)),
-                               state.q)
-    return state, outer, converged, trace
-
-
-# 15 penalty stages; 3 stages that each run to inner_cap; 20 stages
-@pytest.mark.parametrize("n, seed, noise_power", [(10, 82, 1e2), (10, 83, 1e4),
-                                                  (20, 81, 1e2)])
-def test_optimize_matches_oracle(n, seed, noise_power):
-    """The shared-E design loop reproduces the per-entry oracle's design."""
-    rng = np.random.default_rng(seed)
-    ctx = random_context(rng, n=n, m=4, n_hyp=4, noise_power=noise_power)
-    theta0, x0 = random_unit_modulus(rng, n), crandn(rng, 4)
-    design = penalty_optimize(ctx, x0, theta0, power_budget=4.0)
-    state, outer, converged, trace = oracle_optimize(ctx, x0, theta0, 4.0)
-    assert design.outer_iterations == outer
-    assert design.converged == converged
-    assert len(design.trace) == len(trace)
-    assert np.abs(design.theta - state.theta).max() <= 1e-10
-    assert np.abs(design.x - state.x).max() <= 1e-10
-    for got, want in zip(design.trace, trace):
-        assert got[0] == want[0]
-        assert np.allclose(got[1:], want[1:], rtol=1e-9, atol=1e-12)
-    assert design.distance == pytest.approx(trace[-1][4], rel=1e-9)
 
 
 def test_optimize_invariant_to_distance_scale():
@@ -708,7 +601,7 @@ def test_ascent_waveform_matrix_matches_lift():
     ctx = random_context(rng, n=7, m=4, n_hyp=4)
     theta, x = random_unit_modulus(rng, 7), crandn(rng, 4)
     ascent, top = start_ascent(ctx, theta, x)
-    want = _Lift(ctx, np.outer(theta, theta.conj())).waveform_matrix()
+    want = distance_matrix(ctx, np.outer(theta, theta.conj()))
     got = ascent.waveform_matrix() * top
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(got, got.conj().T)
@@ -736,7 +629,7 @@ def test_optimize_ascent_monotone_and_feasible(n, seed):
         lifted_distance(ctx, design.theta, design.x), rel=1e-10)
     # each round ends with x the power-saturated dominant eigenvector
     q = np.outer(design.theta, design.theta.conj())
-    z = _Lift(ctx, q).waveform_matrix()
+    z = distance_matrix(ctx, q)
     top = 4.0 * np.linalg.eigvalsh(z)[-1]
     assert np.real(design.x.conj() @ z @ design.x) == pytest.approx(
         top, rel=1e-12)
@@ -828,23 +721,6 @@ def test_optimize_ascent_validates_parameters():
         optimize(ctx, np.zeros(3), theta0, power_budget=1.0)
     with pytest.raises(ValueError):
         optimize(ctx, np.ones(3), theta0, power_budget=1.0, accuracy=0.0)
-
-
-def test_q_sweep_tables_built_on_first_use():
-    rng = np.random.default_rng(81)
-    ctx = random_context(rng, n=5, m=3, n_hyp=3)
-    optimize(ctx, crandn(rng, 3), random_unit_modulus(rng, 5),
-             power_budget=4.0)
-    tables = ("gradient_weights", "row_steps", "row_coupling")
-    assert not any(name in vars(ctx) for name in tables)
-    state = make_state(rng, ctx)
-    update_q(state, ctx)
-    assert all(name in vars(ctx) for name in tables)
-    # the same arrays on every read
-    assert ctx.row_steps is ctx.row_steps
-    n, n_hyp = 5, 3
-    assert ctx.row_coupling.shape == (n, n_hyp, n_hyp)
-    assert ctx.gradient_weights.shape == (n_hyp, n, n_hyp * 3)
 
 
 def desk_designs(monkeypatch):

@@ -10,6 +10,9 @@ factor.  This module recovers that sign-ambiguous estimate in three steps:
 3. ``refine`` runs cyclic coordinate descent on the weighted least-squares
    ML objective, updating one complex entry at a time in closed form.
 
+``estimate_channel`` is one ``refine`` call: it averages the products
+once and shares them between ``initialize`` and the objective.
+
 The weight is the Gram matrix of the shared design matrix.  Every row block
 of that matrix is (dtheta_l kron x_l) kron I_{M-M_t}, and with full patterns
 (n_diffs a multiple of M_t) each IRS pattern is held while the pilot cycles
@@ -26,24 +29,26 @@ the triple only through its antenna pair q = {i, j}.  Each pair has the same num
 exactly, with J0 the objective at pi = hbar.  So the refinement works on the
 N x M(M-1)/2 pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j]
 alone, and its iterates are those of the full-residual sweep up to rounding.
-An update of g[n, a] changes only row n of R; per IRS row one product
-G = Kp[n] @ R gives the pair gradient, and each entry step reads and updates
-it in O(M) plain-complex work.  A row's M steps run as one straight-line
-function, the row kernel, whose source is generated and compiled once per M
-(``_row_kernel``): g's row, its conjugates, its |g|^2 and the pair
-gradients are its local variables, and it updates only the gradients the
-row still reads.  For a partly used last pattern the schedule's
-``pattern_gram`` raises ValueError, and ``refine`` with it.
+The objective forms all of R at once from hbar and g.  An update of g[n, a]
+changes only row n of R; per IRS row one product G = Kp[n] @ R (taken as
+``kp_rows[n].dot(R)`` on row views built once per objective) gives the pair
+gradient, and each entry step reads and updates it in O(M) plain-complex
+work.  A row's M steps run as one straight-line function, the row kernel,
+whose source is generated and compiled once per M (``_row_kernel``): g's
+row, its conjugates, its |g|^2 and the pair gradients are its local
+variables, and it updates only the gradients the row still reads.  For a
+partly used last pattern the schedule's ``pattern_gram`` raises
+ValueError, and ``refine`` with it.
 
 ``initialize`` computes every row whose anchor tuples are all usable in
 one pass of array operations, and the remaining rows one by one.  Both
-paths, the row kernel and the product averaging round exactly as the
-scalar per-row and per-entry code and the ``np.add.at`` scatter they
-replace, so campaign output is byte for byte the same.  numpy's complex
-*array* product may fuse multiply-adds and differ from the scalar product
-in the last bit, so the vectorized initializer forms its products from
-real parts (``_scalar_mul``), and the kernel multiplies Python complex
-scalars only.
+paths, the row kernel, the residual set-up and the product averaging
+round exactly as the scalar per-row and per-entry code and the
+``np.add.at`` scatter they replace, so campaign output is byte for byte
+the same.  numpy's complex *array* product may fuse multiply-adds and
+differ from the scalar product in the last bit, so the vectorized
+initializer and the residual set-up form their products from real parts
+(``_scalar_mul``), and the kernel multiplies Python complex scalars only.
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -80,6 +85,17 @@ def pairwise_products(obs: ObservationSet) -> np.ndarray:
     return _average_products(obs.schedule, ls_estimates(obs))[0]
 
 
+def _pair_counts(sched) -> np.ndarray:
+    """The symmetric (M, M) count of LS estimates of every product."""
+    counts = [[0] * sched.m_antennas for _ in range(sched.m_antennas)]
+    for a_set, b_set in sched.subframes:
+        for a in a_set:
+            for b in b_set:
+                counts[a][b] += 1
+                counts[b][a] += 1
+    return np.array(counts)
+
+
 def _average_products(sched, omega: np.ndarray):
     """``pairwise_products`` of the LS estimates ``omega`` (P x dim), and
     the (M, M) count of estimates averaged into each product."""
@@ -87,7 +103,6 @@ def _average_products(sched, omega: np.ndarray):
     n_rx = sched.n_rx
 
     sums = np.zeros((n, m, m), dtype=complex)
-    counts = np.zeros((m, m), dtype=int)
     # a validated split has disjoint transmit and receive sets of M_t and
     # M - M_t antennas, so (ai, bj) names no cell twice and a plain scatter
     # adds what np.add.at would, in the same subframe order
@@ -95,10 +110,9 @@ def _average_products(sched, omega: np.ndarray):
         ai = np.asarray(a_set)[:, None]
         bj = np.asarray(b_set)[None, :]
         sums[:, ai, bj] += omega[p].reshape(n, m_t, n_rx)
-        counts[ai, bj] += 1
 
     sums = sums + np.swapaxes(sums, 1, 2)
-    counts = counts + counts.T
+    counts = _pair_counts(sched)
     off_diag = ~np.eye(m, dtype=bool)
     if np.any(counts[off_diag] == 0):
         raise CoverageError("schedule does not cover every antenna pair")
@@ -251,23 +265,28 @@ class _MLObjective:
     the pair residuals R[n, q] = hbar[n, i, j] - g[n, i] g[n, j], one
     column per antenna pair q = (i < j), where w is the physical scale
     times the number of support triples of a pair and J0 the objective at
-    products = hbar.
+    products = hbar.  ``h_bar`` is ``pairwise_products(obs)``, formed here
+    when not given.
     """
 
-    def __init__(self, obs: ObservationSet, g: np.ndarray):
+    def __init__(self, obs: ObservationSet, g: np.ndarray,
+                 h_bar: np.ndarray | None = None):
         sched = obs.schedule
         self.n, self.m = sched.n_elements, sched.m_antennas
         m_t, n_rx = sched.m_t, sched.n_rx
         self.kp = sched.pattern_gram
+        self.kp_rows = list(self.kp)
+        self.knn = self.kp.diagonal().real.tolist()
         self.g = g
 
         # the pair order the row kernel reads its gradients and products in
         self.pairs = list(itertools.combinations(range(self.m), 2))
         pi, pj = (np.array(ix) for ix in zip(*self.pairs))
 
-        omega = ls_estimates(obs)
-        h_bar, counts = _average_products(sched, omega)
-        counts = counts[pi, pj]
+        omega = obs.omega_ls  # pairwise_products has read ls_estimates(obs)
+        if h_bar is None:
+            h_bar = pairwise_products(obs)
+        counts = _pair_counts(sched)[pi, pj]
         if np.any(counts != counts[0]):
             raise ValueError("refinement needs every antenna pair observed "
                              f"equally often, got counts {counts.tolist()}")
@@ -281,9 +300,8 @@ class _MLObjective:
         self.j0 = scale * float(np.vdot(e0, self.kp @ e0).real)
         self.weight = scale * int(counts[0])
 
-        self.residuals = np.empty((self.n, len(self.pairs)), dtype=complex)
-        for row in range(self.n):
-            self.refresh_row(row)
+        # every row's ``refresh_row`` at once, rounded as its scalar products
+        self.residuals = h_bar[:, pi, pj] - _scalar_mul(g[:, pi], g[:, pj])
 
     def refresh_row(self, row: int):
         """Pair residuals of channel row ``row`` recomputed from g."""
@@ -308,12 +326,13 @@ class _MLObjective:
         row's residuals not yet refreshed.
         """
         kernel = _row_kernel(self.m, on_update is not None)
-        knn = self.kp.diagonal().real.tolist()
-        rows = self.g.tolist()
-        for n, row in enumerate(rows):
-            self.residuals[n] = kernel(row, (self.kp[n] @ self.residuals).tolist(),
-                                       knn[n], self.h_rows[n], n, self.g, on_update)
-        self.g[:] = rows
+        residuals, knn, h_rows, g_out = self.residuals, self.knn, self.h_rows, self.g
+        rows = g_out.tolist()
+        for n, (row, kp_row) in enumerate(zip(rows, self.kp_rows)):
+            # kp_row.dot(R) rounds as kp[n] @ R does, at less call overhead
+            residuals[n] = kernel(row, kp_row.dot(residuals).tolist(), knn[n],
+                                  h_rows[n], n, g_out, on_update)
+        g_out[:] = rows
 
 
 @functools.cache
@@ -379,19 +398,26 @@ def _row_kernel(m: int, callback: bool = False):
     return namespace["row_kernel"]
 
 
-def refine(obs: ObservationSet, g_init: np.ndarray, max_sweeps: int = 300,
-           tol: float = 1e-8, record_update_objectives: bool = False,
+def refine(obs: ObservationSet, g_init: np.ndarray | None = None,
+           max_sweeps: int = 300, tol: float = 1e-8,
+           record_update_objectives: bool = False,
            g_true: np.ndarray | None = None) -> ChannelEstimate:
     """Cyclic coordinate-descent refinement of the channel estimate.
 
-    Sweeps every entry in row-major order; each single-entry update is the
-    exact minimizer of the ML objective over that entry, so the objective
-    is nonincreasing update by update.  Stops when the relative objective
-    decrease over a full sweep drops below ``tol`` or after ``max_sweeps``.
-    With ``record_update_objectives``, ``update_objectives`` holds the
-    objective after every update (entries with zero curvature are skipped).
+    The LS products are averaged once (``pairwise_products``) and shared
+    by the objective and, when ``g_init`` is None, by ``initialize``,
+    which then gives the starting point.  Sweeps every entry in row-major
+    order; each single-entry update is the exact minimizer of the ML
+    objective over that entry, so the objective is nonincreasing update by
+    update.  Stops when the relative objective decrease over a full sweep
+    drops below ``tol`` or after ``max_sweeps``.  With
+    ``record_update_objectives``, ``update_objectives`` holds the objective
+    after every update (entries with zero curvature are skipped).
     """
-    state = _MLObjective(obs, np.array(g_init, dtype=complex))
+    h_bar = pairwise_products(obs)
+    if g_init is None:
+        g_init = initialize(h_bar)
+    state = _MLObjective(obs, np.array(g_init, dtype=complex), h_bar)
     j_prev = state.value()
     trace = [j_prev]
     per_update = [] if record_update_objectives else None
@@ -427,7 +453,7 @@ def estimate_channel(obs: ObservationSet,
     """Full estimation pipeline: products -> initialization -> refinement,
     at the defaults of ``initialize`` and ``refine``; with ``g_true`` the
     estimate records its per-sweep normalized error."""
-    return refine(obs, initialize(pairwise_products(obs)), g_true=g_true)
+    return refine(obs, g_true=g_true)
 
 
 def normalized_error(g_hat: np.ndarray, g_true: np.ndarray) -> float:

@@ -88,7 +88,10 @@ def _campaign_spec(args) -> harness.ExperimentSpec:
         spec.trials = args.trials
     if args.desk_scale:
         spec = harness.apply_desk_scale(spec)
-    spec.validate()
+    try:
+        spec.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return spec
 
 

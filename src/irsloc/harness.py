@@ -62,6 +62,18 @@ class LocalizationParams:
     max_cycles: int = 20
     optimize_waveform: bool = True
 
+    def validate(self):
+        """Refuse settings a localization campaign cannot run or that
+        make its threshold decision meaningless."""
+        for name in ("n_grids", "snapshots", "max_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (np.isfinite(self.power_budget) and self.power_budget > 0):
+            raise ValueError("power_budget must be finite and > 0, got "
+                             f"{self.power_budget}")
+        if not 0 < self.threshold <= 1:
+            raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
+
 
 @dataclass
 class ExperimentSpec:
@@ -93,7 +105,11 @@ class ExperimentSpec:
     def validate(self):
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
-        self.sweep_points()
+        for point in self.sweep_points():
+            try:
+                resolve_point(self, point)[2].validate()
+            except ValueError as exc:
+                raise ValueError(f"sweep point {point}: {exc}") from None
 
 
 _POINT_AXES = {
@@ -169,10 +185,16 @@ def _point_schedule(point: dict, cfg: SceneConfig,
 
 def _check_distinguishable(point: dict, cfg: SceneConfig,
                            loc_p: LocalizationParams):
-    """Reject a grid with two hypotheses the echo model cannot tell apart."""
+    """Reject a grid that misses the target's elevation, or that has two
+    hypotheses the echo model cannot tell apart."""
     grid = localize.build_hypothesis_grid(
         cfg, loc_p.n_grids, loc_p.theta_lo_deg, loc_p.theta_hi_deg,
         loc_p.phi_deg)
+    try:
+        grid.true_hypothesis(cfg.target_theta_deg)
+    except ValueError as exc:
+        raise PointRejected(f"sweep point {point}: the hypothesis grid misses "
+                            f"the target elevation: {exc}") from None
     sep = localize.hypothesis_separation(grid.steering)
     rows, cols = np.nonzero(np.triu(sep <= 1e-9, k=1))
     if rows.size:
@@ -483,4 +505,7 @@ def apply_desk_scale(spec: ExperimentSpec) -> ExperimentSpec:
                                             max_cycles=min(spec.localization.max_cycles, 12))
     if spec.sweep.get("n_y"):
         spec.sweep = {**spec.sweep, "n_y": [min(v, 2) for v in spec.sweep["n_y"]]}
+    if spec.points:
+        spec.points = [{**p, "n_y": min(p["n_y"], 2)} if "n_y" in p else dict(p)
+                       for p in spec.points]
     return spec

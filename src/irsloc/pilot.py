@@ -25,6 +25,9 @@ Every subframe shares Phi = pattern kron I_{M-M_t}, so the schedule holds
 the C x N M_t ``pattern``, its pseudo-inverse (the LS solve of a round is
 one product with it), rank check and the N x N pattern Gram matrix Kp of
 Phi^H Phi = Kp kron I; ``build_design_matrix`` forms Phi as a reference.
+``simulate_pilot_round`` simulates all P subframes together: one draw of
+every subframe's normals and one stacked product, bit for bit the
+per-subframe loop.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from math import comb
 import numpy as np
 
 from .scene import Scene
-from .util import as_rng, crandn, khatri_rao, vec
+from .util import as_rng, khatri_rao, vec
 
 
 class IdentifiabilityError(ValueError):
@@ -263,6 +266,15 @@ def simulate_pilot_round(scene: Scene, schedule: PilotSchedule,
     Per subframe the static channels (self-interference + scatterers) are
     drawn once and cancel exactly in each difference; receiver noise is
     fresh per slot, so the differenced noise is i.i.d. CN(0, 2 sigma^2 I).
+
+    The whole frame is one draw and one stacked product.  The draw holds
+    every subframe's normals in the order of a per-subframe loop (the two
+    static channels as ``crandn(rng, n_rx, M_t)`` each, then the noise as
+    ``crandn(rng, n_rx)`` per difference and slot), and every subframe's
+    BLAS products keep their per-subframe shapes and layouts: (C, M_t) @
+    (M_t, N) for G_A x and (2, N) @ (N, n_rx) per difference.  So
+    ``ytilde`` and the generator's state after the round are those of the
+    loop to the bit.
     """
     if schedule.n_elements != scene.config.n_elements \
             or schedule.m_antennas != scene.config.m_antennas:
@@ -270,24 +282,31 @@ def simulate_pilot_round(scene: Scene, schedule: PilotSchedule,
     rng = as_rng(seed)
     cfg = scene.config
     sigma2 = cfg.noise_power
-    n_rx, c = schedule.n_rx, schedule.n_diffs
+    n_sub, n_rx, m_t, c = (schedule.n_subframes, schedule.n_rx, schedule.m_t,
+                           schedule.n_diffs)
 
+    n_static = 4 * n_rx * m_t
+    z = rng.standard_normal((n_sub, n_static + (4 * c * n_rx if sigma2 > 0 else 0)))
+    s = z[:, :n_static].reshape(n_sub, 4, n_rx, m_t)
+    h_static = (np.sqrt(cfg.si_power) * ((s[:, 0] + 1j * s[:, 1]) / np.sqrt(2.0))
+                + np.sqrt(cfg.ref_power) * ((s[:, 2] + 1j * s[:, 3]) / np.sqrt(2.0)))
+
+    # each subframe's columns of G, laid out as G[:, cols] (P x N x cols)
+    a_cols = np.array([a_set for a_set, _ in schedule.subframes])
+    b_cols = np.array([b_set for _, b_set in schedule.subframes])
+    g_a = np.ascontiguousarray(scene.G[:, a_cols].transpose(1, 0, 2))
+    g_b = np.ascontiguousarray(scene.G[:, b_cols].transpose(1, 0, 2))
+    gax = schedule.pilots @ g_a.transpose(0, 2, 1)           # P x C x N
     # IRS states of both slots of every difference (C x 2 x N)
     thetas = np.stack([schedule.irs_base,
                        schedule.irs_base + schedule.delta_theta], axis=1)
-    ytilde = np.empty((schedule.n_subframes, c * n_rx), dtype=complex)
-    for p, (a_set, b_set) in enumerate(schedule.subframes):
-        gax = schedule.pilots @ scene.G[:, list(a_set)].T
-        g_b = scene.G[:, list(b_set)]
-        h_static = (np.sqrt(cfg.si_power) * crandn(rng, n_rx, schedule.m_t)
-                    + np.sqrt(cfg.ref_power) * crandn(rng, n_rx, schedule.m_t))
-        y = ((thetas * gax[:, None, :]) @ g_b
-             + (schedule.pilots @ h_static.T)[:, None, :])
-        if sigma2 > 0:
-            # the draws of crandn(rng, n_rx) per (difference, slot), in order
-            z = rng.standard_normal((c, 2, 2, n_rx))
-            y = y + np.sqrt(sigma2) * ((z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0))
-        ytilde[p] = (y[:, 1] - y[:, 0]).reshape(-1)
+    y = ((thetas * gax[:, :, None, :]) @ g_b[:, None]
+         + (schedule.pilots @ h_static.transpose(0, 2, 1))[:, :, None, :])
+    if sigma2 > 0:
+        noise = z[:, n_static:].reshape(n_sub, c, 2, 2, n_rx)
+        y = y + np.sqrt(sigma2) * ((noise[:, :, :, 0] + 1j * noise[:, :, :, 1])
+                                   / np.sqrt(2.0))
+    ytilde = (y[:, :, 1] - y[:, :, 0]).reshape(n_sub, -1)
 
     return ObservationSet(schedule=schedule, ytilde=ytilde, sigma2=sigma2)
 

@@ -228,3 +228,39 @@ def test_value_error_inside_a_trial_stays_numerical(tmp_path, capsys,
     error = _last_error(capsys)
     assert error["kind"] == "numerical"
     assert error["type"] == "DegenerateHypothesisError"
+
+
+@pytest.mark.parametrize("section, settings", [
+    ("localization", {"max_cycles": 0}),
+    ("localization", {"snapshots": 0}),
+    ("localization", {"n_grids": 0}),
+    ("localization", {"power_budget": -1.0}),
+    ("localization", {"power_budget": 0.0}),
+    ("localization", {"power_budget": float("inf")}),
+    ("points", [{"power_budget": 10.0}, {"power_budget": 0.0}]),
+    ("localization", {"threshold": 0.0}),
+    ("localization", {"threshold": 1.5}),
+    # the default target elevation is 60 degrees
+    ("localization", {"theta_lo_deg": 30.0, "theta_hi_deg": 40.0}),
+    ("localization", {"theta_lo_deg": 72.5, "theta_hi_deg": 52.5}),
+])
+def test_degenerate_localization_settings_refused_before_trial_zero(
+        tmp_path, capsys, monkeypatch, section, settings):
+    from irsloc import harness
+
+    def trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+    monkeypatch.setattr(harness, "run_localization_trial", trial)
+    payload = json.loads(json.dumps(TINY_CAMPAIGN))
+    payload["scene"]["n_y"] = 2  # a grid the point check accepts
+    if section == "points":
+        payload["points"] = settings
+    else:
+        payload["localization"].update(settings)
+    cfg = write_config(tmp_path, payload)
+    code = main(["localize", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    error = _last_error(capsys)
+    assert error["kind"] == "config"
+    assert "sweep point" in error["error"]

@@ -351,5 +351,14 @@ def test_desk_scale_preset():
     assert spec.trials == 30  # original untouched
 
 
+def test_desk_scale_caps_explicit_points():
+    data = CAMPAIGN_CONFIGS["fig10_arms.json"]
+    desk = apply_desk_scale(spec_from_dict(data))
+    resolved = [resolve_point(desk, p)[0] for p in desk.sweep_points()]
+    assert [(cfg.n_x, cfg.n_y) for cfg in resolved] == [(5, 2)] * 4
+    assert [p["arm"] for p in desk.points] == [p["arm"] for p in data["points"]]
+    assert data["points"][0]["n_y"] == 4  # the loaded config is left alone
+
+
 def test_point_key_stable():
     assert point_key({"b": 1, "a": 2}) == (("a", 2), ("b", 1))

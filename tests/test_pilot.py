@@ -206,6 +206,47 @@ def test_pilot_round_matches_loop_oracle(m, m_t, n_diffs):
     assert np.array_equal(simulate_pilot_round(scene, sched, seed=12).ytilde, noise)
 
 
+def subframe_loop_round(scene, sched, seed):
+    """The pilot round one subframe at a time, one batched product and one
+    draw each, kept as the reference that the stacked round must match bit
+    for bit: returns the observations and the generator after the round."""
+    rng = as_rng(seed)
+    cfg = scene.config
+    sigma2 = cfg.noise_power
+    n_rx, c = sched.n_rx, sched.n_diffs
+    thetas = np.stack([sched.irs_base, sched.irs_base + sched.delta_theta], axis=1)
+    ytilde = np.empty((sched.n_subframes, c * n_rx), dtype=complex)
+    for p, (a_set, b_set) in enumerate(sched.subframes):
+        gax = sched.pilots @ scene.G[:, list(a_set)].T
+        g_b = scene.G[:, list(b_set)]
+        h_static = (np.sqrt(cfg.si_power) * crandn(rng, n_rx, sched.m_t)
+                    + np.sqrt(cfg.ref_power) * crandn(rng, n_rx, sched.m_t))
+        y = ((thetas * gax[:, None, :]) @ g_b
+             + (sched.pilots @ h_static.T)[:, None, :])
+        if sigma2 > 0:
+            z = rng.standard_normal((c, 2, 2, n_rx))
+            y = y + np.sqrt(sigma2) * ((z[:, :, 0] + 1j * z[:, :, 1]) / np.sqrt(2.0))
+        ytilde[p] = (y[:, 1] - y[:, 0]).reshape(-1)
+    return ObservationSet(schedule=sched, ytilde=ytilde, sigma2=sigma2), rng
+
+
+@pytest.mark.parametrize("m,m_t,n,n_diffs,sigma2_dbm", [
+    (4, 1, 9, None, -90.0), (5, 2, 6, None, -90.0), (6, 3, 8, None, -90.0),
+    (4, 1, 9, 30, -90.0), (6, 2, 10, 40, -90.0), (5, 2, 6, None, -np.inf)])
+def test_stacked_round_matches_subframe_loop_bitwise(m, m_t, n, n_diffs,
+                                                     sigma2_dbm):
+    cfg = SceneConfig(m_antennas=m, n_x=n, n_y=1, sigma2_dbm=sigma2_dbm,
+                      sigma2_si_db=-10.0, sigma2_ref_db=-10.0)
+    scene = synthesize_scene(cfg, seed=m * 10 + m_t)
+    sched = build_schedule(m, m_t, n, n_diffs=n_diffs, pilot_power=1e-3)
+    expected, expected_rng = subframe_loop_round(scene, sched, seed=12)
+    rng = np.random.default_rng(12)
+    obs = simulate_pilot_round(scene, sched, seed=rng)
+    assert np.array_equal(obs.ytilde, expected.ytilde)
+    assert np.array_equal(obs.omega_ls, expected.omega_ls)
+    assert np.array_equal(rng.standard_normal(8), expected_rng.standard_normal(8))
+
+
 @pytest.mark.parametrize("m,m_t,n", [(4, 1, 5), (4, 2, 4), (5, 2, 3)])
 def test_noiseless_observation_matches_loop_oracle(m, m_t, n):
     cfg = noiseless_config(m_antennas=m, n_x=n, n_y=1)

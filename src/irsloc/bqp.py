@@ -15,8 +15,9 @@ Two layers:
   rescored are those of the full table and the result is the same;
 * ``dinkelbach_solve`` maximizes a ratio of two such forms via the
   classical parametric sequence y <- num(delta)/den(delta), each inner
-  problem solved exactly, which makes the y-sequence nondecreasing and the
-  limit a global maximizer.
+  problem solved exactly, so the y-sequence is nondecreasing.  Its stop is
+  absolute below |y| = 1: at echo-scale ratios it ends after one inner
+  solve, short of the global maximizer the sequence converges to.
 
 Only the real parts of the couplings matter: for real sign vectors,
 delta^H R delta = sum_i r_ii + sum_{i>j} 2 Re(r_ij) delta_i delta_j.  All
@@ -38,7 +39,7 @@ from itertools import chain
 
 import numpy as np
 
-from .util import is_hermitian
+from .util import is_hermitian, read_only
 
 EXACT_CAP = 24  # largest N solved exactly, over 2^(N-1) sign vectors
 
@@ -90,11 +91,8 @@ def _split_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``sign_vectors(n - n // 2)`` and the last n // 2 columns of
     ``sign_vectors(n // 2 + 1)``, at most 2^12 x 12 at ``EXACT_CAP``.
     The full ``sign_vectors(n)`` table (1.6 GB at n = 24) is never cached."""
-    pre = sign_vectors(n - n // 2)
-    suf = sign_vectors(n // 2 + 1)[:, 1:]
-    pre.flags.writeable = False
-    suf.flags.writeable = False
-    return pre, suf
+    return (read_only(sign_vectors(n - n // 2)),
+            read_only(sign_vectors(n // 2 + 1)[:, 1:]))
 
 
 @lru_cache(maxsize=None)
@@ -102,9 +100,7 @@ def _suffix_rows(n: int) -> np.ndarray:
     """Read-only constant rows [suf^T; 1] of the table product's right
     factor for length n, row-major (at most 13 x 4096 at ``EXACT_CAP``)."""
     suf = _split_tables(n)[1]
-    rows = np.vstack([suf.T, np.ones((1, len(suf)))])
-    rows.flags.writeable = False
-    return rows
+    return read_only(np.vstack([suf.T, np.ones((1, len(suf)))]))
 
 
 @lru_cache(maxsize=None)
@@ -282,9 +278,10 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
     """Parametric (Dinkelbach) iterations for the sign-vector ratio problem.
 
     Each step solves max delta^H (numerator - y denominator) delta exactly
-    and resets y to the achieved ratio; y is nondecreasing and the final
-    delta is a global ratio maximizer whenever every inner solve is exact.
-    Convergence: relative y increment below ``tol``.
+    and resets y to the achieved ratio, so y is nondecreasing; a step that
+    cannot raise y certifies delta a global ratio maximizer.  Stops once y
+    rises by at most ``tol * max(1, |y|)``: an absolute test for |y| < 1,
+    which echo-scale ratios (about 1e-13) pass after the first step.
     """
     delta = np.ones(prob.n) if delta_init is None else np.asarray(delta_init, float)
     y = prob.ratio(delta)

@@ -82,23 +82,11 @@ def pairwise_products(obs: ObservationSet) -> np.ndarray:
     Returns an (N, M, M) array, symmetric in the last two axes, with the
     (unobservable) diagonal left as NaN.
     """
-    return _average_products(obs.schedule, ls_estimates(obs))[0]
+    return _average_products(obs.schedule, ls_estimates(obs))
 
 
-def _pair_counts(sched) -> np.ndarray:
-    """The symmetric (M, M) count of LS estimates of every product."""
-    counts = [[0] * sched.m_antennas for _ in range(sched.m_antennas)]
-    for a_set, b_set in sched.subframes:
-        for a in a_set:
-            for b in b_set:
-                counts[a][b] += 1
-                counts[b][a] += 1
-    return np.array(counts)
-
-
-def _average_products(sched, omega: np.ndarray):
-    """``pairwise_products`` of the LS estimates ``omega`` (P x dim), and
-    the (M, M) count of estimates averaged into each product."""
+def _average_products(sched, omega: np.ndarray) -> np.ndarray:
+    """``pairwise_products`` of the LS estimates ``omega`` (P x dim)."""
     n, m, m_t = sched.n_elements, sched.m_antennas, sched.m_t
     n_rx = sched.n_rx
 
@@ -106,19 +94,18 @@ def _average_products(sched, omega: np.ndarray):
     # a validated split has disjoint transmit and receive sets of M_t and
     # M - M_t antennas, so (ai, bj) names no cell twice and a plain scatter
     # adds what np.add.at would, in the same subframe order
-    for p, (a_set, b_set) in enumerate(sched.subframes):
-        ai = np.asarray(a_set)[:, None]
-        bj = np.asarray(b_set)[None, :]
+    for p, (ai, bj) in enumerate(zip(sched.tx_antennas[:, :, None],
+                                     sched.rx_antennas[:, None, :])):
         sums[:, ai, bj] += omega[p].reshape(n, m_t, n_rx)
 
     sums = sums + np.swapaxes(sums, 1, 2)
-    counts = _pair_counts(sched)
+    counts = sched.pair_counts
     off_diag = ~np.eye(m, dtype=bool)
     if np.any(counts[off_diag] == 0):
         raise CoverageError("schedule does not cover every antenna pair")
     h_bar = np.full((n, m, m), np.nan, dtype=complex)
     h_bar[:, off_diag] = sums[:, off_diag] / counts[off_diag]
-    return h_bar, counts
+    return h_bar
 
 
 def _row_anchor_estimate(h_row: np.ndarray, anchor: int, floor: float):
@@ -286,16 +273,15 @@ class _MLObjective:
         omega = obs.omega_ls  # pairwise_products has read ls_estimates(obs)
         if h_bar is None:
             h_bar = pairwise_products(obs)
-        counts = _pair_counts(sched)[pi, pj]
+        counts = sched.pair_counts[pi, pj]
         if np.any(counts != counts[0]):
             raise ValueError("refinement needs every antenna pair observed "
                              f"equally often, got counts {counts.tolist()}")
         self.h_rows = h_bar[:, pi, pj].tolist()
-        a_cols = np.array([a_set for a_set, _ in sched.subframes])
-        b_cols = np.array([b_set for _, b_set in sched.subframes])
         # the residuals at products = hbar, one column per support triple
-        e0 = (omega.reshape(len(a_cols), self.n, m_t, n_rx).transpose(1, 0, 2, 3)
-              - h_bar[:, a_cols[:, :, None], b_cols[:, None, :]]).reshape(self.n, -1)
+        e0 = (omega.reshape(sched.n_subframes, self.n, m_t, n_rx).transpose(1, 0, 2, 3)
+              - h_bar[:, sched.tx_antennas[:, :, None],
+                      sched.rx_antennas[:, None, :]]).reshape(self.n, -1)
         scale = 1.0 / (2.0 * obs.sigma2) if obs.sigma2 > 0 else 1.0
         self.j0 = scale * float(np.vdot(e0, self.kp @ e0).real)
         self.weight = scale * int(counts[0])

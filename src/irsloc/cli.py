@@ -10,13 +10,14 @@ Subcommands
                    design (the reference for the campaigns' theta-domain
                    ascent), one trace row per penalty stage
 
-Campaign configs are JSON documents mirroring the experiment spec
-(sections ``scene``, ``pilot``, ``localization`` plus
-``sweep``/``points``, ``trials``, ``master_seed``); unknown keys are
-rejected.  ``bqp-solve`` and ``waveopt-trace`` take small dedicated
-configs documented in the README.  Exit codes: 0 success, 2 usage or
-configuration error (including a sweep point that a campaign rejects
-before trial 0), 1 numerical failure (one JSON error line on stderr).
+Only the three campaigns take ``--trials`` and ``--desk-scale``.  Campaign
+configs are JSON documents mirroring the experiment spec (sections
+``scene``, ``pilot``, ``localization`` plus ``sweep``/``points``,
+``trials``, ``master_seed``); unknown keys are rejected.  ``bqp-solve``
+and ``waveopt-trace`` take small dedicated configs documented in the
+README.  Exit codes: 0 success, 2 usage or configuration error (including
+a sweep point that a campaign rejects before trial 0), 1 numerical
+failure (one JSON error line on stderr).
 """
 
 from __future__ import annotations
@@ -32,20 +33,6 @@ from . import bqp, harness, waveopt
 from .util import crandn, derive_seed, random_unit_modulus
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", type=Path, default=None,
-                        help="JSON configuration file")
-    parser.add_argument("--out", type=Path, default=Path("results"),
-                        help="output directory")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed override")
-    parser.add_argument("--trials", type=int, default=None,
-                        help="trial count override")
-    parser.add_argument("--desk-scale", action="store_true",
-                        help="apply the reduced-size preset")
-    parser.add_argument("-v", "--verbose", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="irsloc",
@@ -58,7 +45,20 @@ def build_parser() -> argparse.ArgumentParser:
             ("bqp-solve", "solve one sign-vector ratio problem"),
             ("waveopt-trace",
              "trace one design run of the reference penalty method")):
-        _add_common(sub.add_parser(name, help=text))
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", type=Path, default=None,
+                             help="JSON configuration file")
+        command.add_argument("--out", type=Path, default=Path("results"),
+                             help="output directory")
+        command.add_argument("--seed", type=int, default=None,
+                             help="master seed override")
+        if name in _CAMPAIGNS:
+            command.add_argument("--trials", type=int, default=None,
+                                 help="trial count override")
+            command.add_argument("--desk-scale", action="store_true",
+                                 help="apply the reduced-size preset")
+        command.add_argument("-v", "--verbose", action="store_true",
+                             help="list the written files on stderr")
     return parser
 
 
@@ -78,65 +78,56 @@ class ConfigError(ValueError):
 
 
 def _campaign_spec(args) -> harness.ExperimentSpec:
+    data = _load_json(args.config)
+    if isinstance(data, dict):  # spec_from_dict refuses any other root
+        overrides = {"master_seed": args.seed, "trials": args.trials}
+        data.update({k: v for k, v in overrides.items() if v is not None})
     try:
-        spec = harness.spec_from_dict(_load_json(args.config))
+        spec = harness.spec_from_dict(data)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.seed is not None:
-        spec.master_seed = args.seed
-    if args.trials is not None:
-        spec.trials = args.trials
-    if args.desk_scale:
-        spec = harness.apply_desk_scale(spec)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return spec
+    # the campaign's own pass checks the scaled points before trial 0
+    return harness.apply_desk_scale(spec) if args.desk_scale else spec
 
 
-def _check_small_config(data: dict, allowed: dict) -> dict:
+def _small_config(args, allowed: dict) -> dict:
+    """``allowed`` updated by the config file, then by ``--seed``."""
+    data = _load_json(args.config)
     unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(allowed)
-    merged.update(data)
+    merged = {**allowed, **data}
+    if args.seed is not None:
+        merged["seed"] = args.seed
     return merged
 
 
-def cmd_chanest(args) -> int:
-    spec = _campaign_spec(args)
-    result = harness.run_chanest_campaign(spec)
-    files = harness.write_result(result, args.out)
-    if args.verbose:
-        for f in files:
-            print(f"wrote {f}", file=sys.stderr)
-    return 0
+def cmd_chanest(args) -> list[Path]:
+    return harness.write_result(
+        harness.run_chanest_campaign(_campaign_spec(args)), args.out)
 
 
-def cmd_localize(args) -> int:
-    spec = _campaign_spec(args)
-    result = harness.run_localization_campaign(spec)
-    harness.write_result(result, args.out)
-    return 0
+def cmd_localize(args) -> list[Path]:
+    return harness.write_result(
+        harness.run_localization_campaign(_campaign_spec(args)), args.out)
 
 
-def cmd_full_pipeline(args) -> int:
+def cmd_full_pipeline(args) -> list[Path]:
     spec = _campaign_spec(args)
     chan = harness.run_chanest_campaign(spec)
-    harness.write_result(chan, Path(args.out) / "chanest")
+    written = harness.write_result(chan, Path(args.out) / "chanest")
     loc = harness.run_localization_campaign(spec)
-    harness.write_result(loc, Path(args.out) / "localization")
-    return 0
+    return written + harness.write_result(loc, Path(args.out) / "localization")
 
 
-def cmd_bqp_solve(args) -> int:
-    cfg = _check_small_config(_load_json(args.config), {
+def cmd_bqp_solve(args) -> list[Path]:
+    cfg = _small_config(args, {
         "n": 10, "seed": 0, "tol": 1e-9, "max_iters": 50})
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    rng = np.random.default_rng(derive_seed(cfg["seed"], "bqp-solve"))
     n = int(cfg["n"])
+    if not 2 <= n <= bqp.EXACT_CAP:
+        raise ConfigError(f"n must be in [2, {bqp.EXACT_CAP}] (the exact-solve "
+                          f"cap), got {n}")
+    rng = np.random.default_rng(derive_seed(cfg["seed"], "bqp-solve"))
     v = crandn(rng, n)
     spread = crandn(rng, n, 2 * n)
     prob = bqp.RatioProblem(numerator=np.outer(v, v.conj()),
@@ -158,19 +149,15 @@ def cmd_bqp_solve(args) -> int:
     path = out / "bqp_solution.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
-    if args.verbose:
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
+    return [path]
 
 
-def cmd_waveopt_trace(args) -> int:
-    cfg = _check_small_config(_load_json(args.config), {
+def cmd_waveopt_trace(args) -> list[Path]:
+    cfg = _small_config(args, {
         "n_elements": 8, "m_antennas": 4, "n_hypotheses": 4, "seed": 0,
         "snapshots": 8, "noise_power": 1.0, "power_budget": 50.0,
         "accuracy": 1e-7, "penalty_scale": 0.5, "inner_tol": 1e-6,
         "outer_cap": 60})
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     rng = np.random.default_rng(derive_seed(cfg["seed"], "waveopt-trace"))
     n, m, n_hyp = (int(cfg[k]) for k in ("n_elements", "m_antennas",
                                          "n_hypotheses"))
@@ -202,13 +189,16 @@ def cmd_waveopt_trace(args) -> int:
                "config": {k: cfg[k] for k in sorted(cfg)}}
     (out / "manifest.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return 0
+    return [out / "waveopt_trace.csv", out / "manifest.json"]
 
 
-_COMMANDS = {
+_CAMPAIGNS = {
     "chanest": cmd_chanest,
     "localize": cmd_localize,
     "full-pipeline": cmd_full_pipeline,
+}
+_COMMANDS = {
+    **_CAMPAIGNS,
     "bqp-solve": cmd_bqp_solve,
     "waveopt-trace": cmd_waveopt_trace,
 }
@@ -218,7 +208,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        written = _COMMANDS[args.command](args)
     except (ConfigError, harness.PointRejected) as exc:
         print(json.dumps({"error": str(exc), "kind": "config"}),
               file=sys.stderr)
@@ -229,6 +219,10 @@ def main(argv=None) -> int:
                           "type": type(exc).__name__}),
               file=sys.stderr)
         return 1
+    if args.verbose:
+        for path in written:
+            print(f"wrote {path}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -12,8 +12,11 @@ Two campaign families:
 
 Every trial's randomness derives from hash(master seed, sweep point,
 trial index), so results are independent of sweep composition and rerun
-byte-identically.  Campaign outputs are plain rows; :func:`write_csv`
-serializes them with a stable schema and a trailing manifest reference.
+byte-identically; a point listed twice is refused.  One pass before trial
+0 resolves and checks each point once and builds the pilot schedule and
+hypothesis grid its trials share.  Campaign outputs are plain rows;
+:func:`write_csv` serializes them with a stable schema and a trailing
+manifest reference.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ SCHEMA_VERSION = 1
 
 
 class PointRejected(ValueError):
-    """A sweep point the campaign refuses before trial 0: a configuration
-    error, unlike the numerical failures a trial can raise."""
+    """A campaign spec or sweep point refused before trial 0: a
+    configuration error, unlike the numerical failures a trial can raise."""
 
 
 @dataclass
@@ -102,14 +105,24 @@ class ExperimentSpec:
         return [dict(zip(axes, combo))
                 for combo in product(*(self.sweep[a] for a in axes))]
 
-    def validate(self):
+    def validate(self) -> list:
+        """Refuse a trial count below 1, an empty axis or point list, a point
+        listed twice (it would rerun the same seeded trials) and a point
+        ``resolve_point`` or ``LocalizationParams.validate`` refuses.
+        Returns (point, cfg, pilot_p, loc_p) per point."""
         if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
+            raise PointRejected("trial count must be >= 1")
+        resolved = []
         for point in self.sweep_points():
+            if any(point == seen for seen, *_ in resolved):
+                raise PointRejected(f"sweep point {point} is listed twice")
             try:
-                resolve_point(self, point)[2].validate()
+                cfg, pilot_p, loc_p = resolve_point(self, point)
+                loc_p.validate()
             except ValueError as exc:
-                raise ValueError(f"sweep point {point}: {exc}") from None
+                raise PointRejected(f"sweep point {point}: {exc}") from None
+            resolved.append((point, cfg, pilot_p, loc_p))
+        return resolved
 
 
 _POINT_AXES = {
@@ -150,59 +163,44 @@ def resolve_point(spec: ExperimentSpec, point: dict):
 
 
 def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
-    """Resolve every sweep point and build its pilot schedule; reject up
-    front a point that would fail mid-run."""
-    resolved = []
-    for point in spec.sweep_points():
-        cfg, pilot_p, loc_p = resolve_point(spec, point)
-        if cfg.m_antennas < 3:
-            raise PointRejected(f"sweep point {point}: channel initialization "
-                                f"needs m_antennas >= 3, got {cfg.m_antennas}")
-        if localization and cfg.n_elements > bqp.EXACT_CAP:
-            raise PointRejected(f"sweep point {point}: n_elements="
-                                f"{cfg.n_elements} exceeds the exact-solve "
-                                f"cap {bqp.EXACT_CAP}")
-        sched = _point_schedule(point, cfg, pilot_p)
-        if localization:
-            _check_distinguishable(point, cfg, loc_p)
-        resolved.append((point, cfg, pilot_p, loc_p, sched))
-    return resolved
-
-
-def _point_schedule(point: dict, cfg: SceneConfig,
-                    pilot_p: PilotParams) -> pilot.PilotSchedule:
-    """The pilot schedule every trial of a sweep point shares, factored."""
-    try:
-        sched = pilot.build_schedule(
-            cfg.m_antennas, pilot_p.m_t, cfg.n_elements,
-            n_diffs=pilot_p.n_diffs, pilot_power=pilot_power_for(cfg, pilot_p))
-        sched.pattern_gram  # refused for a partly used last pattern
-        sched.pattern_pinv  # refused for a rank-deficient pattern
-    except ValueError as exc:  # IdentifiabilityError included
-        raise PointRejected(f"sweep point {point}: {exc}") from exc
-    return sched
-
-
-def _check_distinguishable(point: dict, cfg: SceneConfig,
-                           loc_p: LocalizationParams):
-    """Reject a grid that misses the target's elevation, or that has two
-    hypotheses the echo model cannot tell apart."""
-    grid = localize.build_hypothesis_grid(
-        cfg, loc_p.n_grids, loc_p.theta_lo_deg, loc_p.theta_hi_deg,
-        loc_p.phi_deg)
-    try:
-        grid.true_hypothesis(cfg.target_theta_deg)
-    except ValueError as exc:
-        raise PointRejected(f"sweep point {point}: the hypothesis grid misses "
-                            f"the target elevation: {exc}") from None
-    sep = localize.hypothesis_separation(grid.steering)
-    rows, cols = np.nonzero(np.triu(sep <= 1e-9, k=1))
-    if rows.size:
-        i, j = int(rows[0]), int(cols[0])
-        raise PointRejected(
-            f"sweep point {point}: hypotheses {i} and {j} are "
-            f"indistinguishable up to gain and element signs (separation "
-            f"{sep[i, j]:.3g})")
+    """The one pass between a spec and trial 0: ``spec.validate``, then per
+    point a refusal of what would fail mid-run, and the pilot schedule and
+    (for localization) hypothesis grid that every trial of the point reads.
+    Returns (point, cfg, pilot_p, loc_p, schedule, grid or None) per point.
+    """
+    built = []
+    for point, cfg, pilot_p, loc_p in spec.validate():
+        try:
+            if cfg.m_antennas < 3:
+                raise ValueError("channel initialization needs m_antennas "
+                                 f">= 3, got {cfg.m_antennas}")
+            if localization and cfg.n_elements > bqp.EXACT_CAP:
+                raise ValueError(f"n_elements={cfg.n_elements} exceeds the "
+                                 f"exact-solve cap {bqp.EXACT_CAP}")
+            sched = pilot.build_schedule(
+                cfg.m_antennas, pilot_p.m_t, cfg.n_elements,
+                n_diffs=pilot_p.n_diffs,
+                pilot_power=pilot_power_for(cfg, pilot_p))
+            sched.pattern_gram  # refused for a partly used last pattern
+            sched.pattern_pinv  # refused for a rank-deficient pattern
+            grid = None
+            if localization:
+                grid = localize.build_hypothesis_grid(
+                    cfg, loc_p.n_grids, loc_p.theta_lo_deg, loc_p.theta_hi_deg,
+                    loc_p.phi_deg)
+                grid.true_hypothesis(cfg.target_theta_deg)  # refused if missed
+                # refused for two hypotheses the echo model cannot tell apart
+                sep = localize.hypothesis_separation(grid.steering)
+                rows, cols = np.nonzero(np.triu(sep <= 1e-9, k=1))
+                if rows.size:
+                    i, j = int(rows[0]), int(cols[0])
+                    raise ValueError(
+                        f"hypotheses {i} and {j} are indistinguishable up to "
+                        f"gain and element signs (separation {sep[i, j]:.3g})")
+        except ValueError as exc:  # IdentifiabilityError included
+            raise PointRejected(f"sweep point {point}: {exc}") from exc
+        built.append((point, cfg, pilot_p, loc_p, sched, grid))
+    return built
 
 
 def point_key(point: dict) -> tuple:
@@ -248,9 +246,8 @@ def estimate_channel_once(cfg: SceneConfig, sched: pilot.PilotSchedule,
 
 def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Average normalized channel error per sweep point."""
-    spec.validate()
     point_rows, trial_rows, conv_rows = [], [], []
-    for point, cfg, pilot_p, _, sched in _resolve_points(spec, localization=False):
+    for point, cfg, pilot_p, _, sched, _ in _resolve_points(spec, localization=False):
         key = point_key(point)
         errors = []
         for trial in range(spec.trials):
@@ -284,16 +281,15 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def run_localization_trial(cfg: SceneConfig, sched: pilot.PilotSchedule,
+                           grid: localize.HypothesisGrid,
                            loc_p: LocalizationParams, master_seed, key, trial):
-    """Full pipeline for one channel realization; returns trial records."""
+    """Full pipeline for one channel realization over the point's shared
+    schedule and hypothesis grid; returns trial records."""
     seed_scene = derive_seed(master_seed, "scene", key, trial)
     seed_noise = derive_seed(master_seed, "pilot", key, trial)
     scene, est, ne = estimate_channel_once(cfg, sched, seed_scene, seed_noise)
     g_hat = est.g_hat
 
-    grid = localize.build_hypothesis_grid(
-        cfg, loc_p.n_grids, loc_p.theta_lo_deg, loc_p.theta_hi_deg,
-        loc_p.phi_deg)
     true_hyp = grid.true_hypothesis(cfg.target_theta_deg)
     belief = localize.initial_belief(loc_p.n_grids, cfg.n_elements)
 
@@ -346,17 +342,16 @@ def run_localization_trial(cfg: SceneConfig, sched: pilot.PilotSchedule,
 
 def run_localization_campaign(spec: ExperimentSpec) -> ExperimentResult:
     """Correct-localization probability per cycle and threshold statistics."""
-    spec.validate()
     point_rows, trial_rows, curve_rows, diag_rows = [], [], [], []
-    for point, cfg, _, loc_p, sched in _resolve_points(spec, localization=True):
+    for point, cfg, _, loc_p, sched, grid in _resolve_points(spec, localization=True):
         key = point_key(point)
         max_cycles = loc_p.max_cycles
         correct = np.zeros((spec.trials, max_cycles), dtype=bool)
         top_prob = np.zeros((spec.trials, max_cycles))
         hits, hit_cycles = [], []
         for trial in range(spec.trials):
-            rec = run_localization_trial(cfg, sched, loc_p, spec.master_seed,
-                                         key, trial)
+            rec = run_localization_trial(cfg, sched, grid, loc_p,
+                                         spec.master_seed, key, trial)
             for c, cyc in enumerate(rec["cycles"]):
                 correct[trial, c] = cyc["correct"]
                 top_prob[trial, c] = cyc["probs"].max()
@@ -497,15 +492,20 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
 
 
 def apply_desk_scale(spec: ExperimentSpec) -> ExperimentSpec:
-    """Reduced-size preset: smaller IRS, fewer trials, shorter campaigns."""
+    """Reduced-size preset: smaller IRS, fewer trials, shorter campaigns.
+
+    Capping ``n_y`` can make sweep values or points equal; the first of
+    each is kept and the rest dropped."""
     spec = dataclasses.replace(spec)
     spec.scene = dataclasses.replace(spec.scene, n_y=min(spec.scene.n_y, 2))
     spec.trials = min(spec.trials, 8)
     spec.localization = dataclasses.replace(spec.localization,
                                             max_cycles=min(spec.localization.max_cycles, 12))
     if spec.sweep.get("n_y"):
-        spec.sweep = {**spec.sweep, "n_y": [min(v, 2) for v in spec.sweep["n_y"]]}
+        spec.sweep = {**spec.sweep, "n_y": list(dict.fromkeys(
+            min(v, 2) for v in spec.sweep["n_y"]))}
     if spec.points:
-        spec.points = [{**p, "n_y": min(p["n_y"], 2)} if "n_y" in p else dict(p)
-                       for p in spec.points]
+        capped = [{**p, "n_y": min(p["n_y"], 2)} if "n_y" in p else dict(p)
+                  for p in spec.points]
+        spec.points = [p for i, p in enumerate(capped) if p not in capped[:i]]
     return spec

@@ -7,8 +7,9 @@ vector.  Each localization cycle:
 1. the BS transmits a snapshot-repeated waveform through the IRS and
    receives the echo  y = gamma f + n  with gamma = alpha a^T Theta G x;
 2. for every hypothesis the unknown pair (gamma, sign vector delta of the
-   channel estimate) is fit by ML -- a sign-vector ratio maximization
-   solved exactly by :mod:`irsloc.bqp` plus a closed-form gamma;
+   channel estimate) is fit by ML -- Dinkelbach iterations of
+   :mod:`irsloc.bqp` over the sign vectors plus a closed-form gamma (at
+   echo scales they stop after one exact inner solve);
 3. the hypothesis probabilities are updated by Bayes' rule on the Gaussian
    echo likelihoods (log-domain with max subtraction);
 4. the target coefficient alpha is re-estimated per hypothesis.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .bqp import DegenerateRatioError, RatioProblem, dinkelbach_solve
 from .scene import Scene, SceneConfig, steering_vector
-from .util import as_rng, crandn
+from .util import as_rng, crandn, read_only
 
 
 class DegenerateHypothesisError(ValueError):
@@ -38,7 +39,8 @@ class HypothesisGrid:
     """Uniform partition of the elevation range at fixed azimuth.
 
     ``steering`` holds one grid-center steering vector per hypothesis,
-    column-wise (N x I).
+    column-wise (N x I), read-only: a campaign builds one grid per sweep
+    point and every trial of the point reads it.
     """
 
     theta_edges_deg: np.ndarray
@@ -54,7 +56,8 @@ class HypothesisGrid:
         """Index of the grid containing the given elevation angle."""
         edges = self.theta_edges_deg
         if not edges[0] <= theta_deg < edges[-1]:
-            raise ValueError(f"angle {theta_deg} outside [{edges[0]}, {edges[-1]})")
+            raise ValueError(f"the hypothesis grid [{edges[0]}, {edges[-1]}) "
+                             f"misses the elevation {theta_deg}")
         return int(np.searchsorted(edges, theta_deg, side="right") - 1)
 
 
@@ -71,7 +74,7 @@ def build_hypothesis_grid(config: SceneConfig, n_grids: int,
     steering = np.column_stack([
         steering_vector(np.deg2rad(c), phi, config) for c in centers])
     return HypothesisGrid(theta_edges_deg=edges, phi_deg=phi_deg,
-                          centers_deg=centers, steering=steering)
+                          centers_deg=centers, steering=read_only(steering))
 
 
 def hypothesis_separation(steering: np.ndarray) -> np.ndarray:
@@ -194,7 +197,8 @@ def joint_ml(y: np.ndarray, phi: np.ndarray,
 
     Profiling out gamma reduces the fit to maximizing the Rayleigh-type
     ratio of Phi^H y y^H Phi over Phi^H Phi on sign vectors; the residual
-    is ||y||^2 minus the achieved ratio.
+    is ||y||^2 minus the achieved ratio.  At echo scales the Dinkelbach
+    stop ends the fit after one inner solve, so delta need not maximize it.
     """
     v = phi.conj().T @ y
     prob = RatioProblem(numerator=np.outer(v, v.conj()),

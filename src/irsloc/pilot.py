@@ -40,7 +40,7 @@ from math import comb
 import numpy as np
 
 from .scene import Scene
-from .util import as_rng, khatri_rao, vec
+from .util import as_rng, khatri_rao, read_only, vec
 
 
 class IdentifiabilityError(ValueError):
@@ -55,8 +55,9 @@ class PilotSchedule:
     holds the IRS state of the first slot of each difference (the second
     slot state is ``irs_base + delta_theta``).  ``pilots`` has one transmit
     vector per difference index (C x M_t).  All subframes share the same
-    sequences, so they share one design matrix and one LS error covariance,
-    whose factors below are computed on first use and kept read-only.
+    sequences, so they share one design matrix and one LS error covariance.
+    The factors below, and the subframes' antenna arrays and pair counts,
+    are computed on first use and kept read-only.
     """
 
     m_antennas: int
@@ -93,12 +94,29 @@ class PilotSchedule:
             raise ValueError("pilot array shape mismatch")
 
     @cached_property
+    def tx_antennas(self) -> np.ndarray:
+        """P x M_t transmit antennas (set A) of each subframe."""
+        return read_only(np.array([a_set for a_set, _ in self.subframes]))
+
+    @cached_property
+    def rx_antennas(self) -> np.ndarray:
+        """P x (M - M_t) receive antennas (set B) of each subframe."""
+        return read_only(np.array([b_set for _, b_set in self.subframes]))
+
+    @cached_property
+    def pair_counts(self) -> np.ndarray:
+        """Symmetric M x M count of the LS estimates of every product
+        g_a g_b over the subframes (one per transmit/receive pair)."""
+        counts = np.zeros((self.m_antennas, self.m_antennas), dtype=int)
+        np.add.at(counts, (self.tx_antennas[:, :, None],
+                           self.rx_antennas[:, None, :]), 1)
+        return read_only(counts + counts.T)
+
+    @cached_property
     def pattern(self) -> np.ndarray:
         """C x N M_t pattern matrix, row l = dtheta(l)^T kron x^T(l)."""
-        pattern = (self.delta_theta[:, :, None] * self.pilots[:, None, :]
-                   ).reshape(self.n_diffs, -1)
-        pattern.flags.writeable = False
-        return pattern
+        return read_only((self.delta_theta[:, :, None] * self.pilots[:, None, :]
+                          ).reshape(self.n_diffs, -1))
 
     @cached_property
     def _factor(self) -> tuple[np.ndarray, float]:
@@ -109,9 +127,8 @@ class PilotSchedule:
         if len(svals) < self.pattern.shape[1] or svals[-1] <= svals[0] * 1e-10:
             raise IdentifiabilityError(
                 f"design matrix is rank deficient (cond={svals[0] / max(svals[-1], 1e-300):.3g})")
-        pinv = (vh.conj().T / svals) @ u.conj().T
-        pinv.flags.writeable = False
-        return pinv, float(svals[0] / svals[-1])
+        return (read_only((vh.conj().T / svals) @ u.conj().T),
+                float(svals[0] / svals[-1]))
 
     @property
     def pattern_pinv(self) -> np.ndarray:
@@ -143,8 +160,7 @@ class PilotSchedule:
                 f"{misfit / np.abs(gram).max():.3g} of its largest entry; "
                 "channel refinement needs the pilot vectors of every IRS "
                 "pattern orthogonal and of equal power")
-        kp.flags.writeable = False
-        return kp
+        return read_only(kp)
 
 
 def schedule_efficiency(m_antennas: int, m_t: int, n_elements: int) -> float:
@@ -198,12 +214,10 @@ def build_schedule(m_antennas: int, m_t: int, n_elements: int,
 
     pattern_idx = np.arange(c) // m_t
     pilot_idx = np.arange(c) % m_t
-    delta_theta = (states[:, pattern_idx + 1] - states[:, pattern_idx]).T
-    irs_base = states[:, pattern_idx].T
-    pilots = pilot_set[:, pilot_idx].T
-
-    for arr in (delta_theta, irs_base, pilots):
-        arr.flags.writeable = False  # campaigns share one schedule per point
+    # read-only: campaigns share one schedule per point
+    delta_theta = read_only((states[:, pattern_idx + 1] - states[:, pattern_idx]).T)
+    irs_base = read_only(states[:, pattern_idx].T)
+    pilots = read_only(pilot_set[:, pilot_idx].T)
     sched = PilotSchedule(m_antennas=m_antennas, m_t=m_t,
                           n_elements=n_elements, pilot_power=pilot_power,
                           subframes=subframes, delta_theta=delta_theta,
@@ -247,8 +261,8 @@ class ObservationSet:
     def __post_init__(self):
         sched = self.schedule
         per_rx = self.ytilde.reshape(-1, sched.n_diffs, sched.n_rx)
-        self.omega_ls = (sched.pattern_pinv @ per_rx).reshape(len(per_rx), -1)
-        self.omega_ls.flags.writeable = False
+        self.omega_ls = read_only(
+            (sched.pattern_pinv @ per_rx).reshape(len(per_rx), -1))
 
 
 def ls_covariance(gram: np.ndarray, sigma2: float) -> np.ndarray:
@@ -292,10 +306,8 @@ def simulate_pilot_round(scene: Scene, schedule: PilotSchedule,
                 + np.sqrt(cfg.ref_power) * ((s[:, 2] + 1j * s[:, 3]) / np.sqrt(2.0)))
 
     # each subframe's columns of G, laid out as G[:, cols] (P x N x cols)
-    a_cols = np.array([a_set for a_set, _ in schedule.subframes])
-    b_cols = np.array([b_set for _, b_set in schedule.subframes])
-    g_a = np.ascontiguousarray(scene.G[:, a_cols].transpose(1, 0, 2))
-    g_b = np.ascontiguousarray(scene.G[:, b_cols].transpose(1, 0, 2))
+    g_a = np.ascontiguousarray(scene.G[:, schedule.tx_antennas].transpose(1, 0, 2))
+    g_b = np.ascontiguousarray(scene.G[:, schedule.rx_antennas].transpose(1, 0, 2))
     gax = schedule.pilots @ g_a.transpose(0, 2, 1)           # P x C x N
     # IRS states of both slots of every difference (C x 2 x N)
     thetas = np.stack([schedule.irs_base,

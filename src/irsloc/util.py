@@ -26,6 +26,12 @@ def dbm2watt(x_dbm: float) -> float:
     return float(10.0 ** ((x_dbm - 30.0) / 10.0))
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, marked read-only: for arrays computed once and shared."""
+    arr.flags.writeable = False
+    return arr
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization of a matrix."""
     return np.asarray(a).reshape(-1, order="F")

@@ -88,11 +88,12 @@ def test_localization_fit_spans_fire(monkeypatch):
     cycles = 2
     assert len(rec.cycles) == cycles
     assert tracer.calls["localize.run_cycle"] == cycles
-    # one fit per hypothesis, one Dinkelbach step per fit
-    for name in ("localize.joint_ml", "bqp.dinkelbach_solve",
-                 "bqp.quad_binary_max"):
+    # one fit per hypothesis, one inner solve per Dinkelbach step and at
+    # least one step per fit
+    for name in ("localize.joint_ml", "bqp.dinkelbach_solve"):
         assert tracer.calls[name] == 4 * cycles, name
-    assert tracer.counters["bqp.dinkelbach_solve.iterations"] == 4 * cycles
+    steps = tracer.counters["bqp.dinkelbach_solve.iterations"]
+    assert tracer.calls["bqp.quad_binary_max"] == steps >= 4 * cycles
     assert tracer.self_s["bqp.quad_binary_max"] > 0
 
 

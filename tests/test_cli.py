@@ -142,6 +142,51 @@ def test_bqp_solve_verified_is_relative(tmp_path, monkeypatch):
         assert payload["verified"] == (abs(best - ratio) <= 1e-9 * abs(best))
 
 
+def test_bqp_solve_size_outside_exact_range_is_config_error(tmp_path, capsys):
+    for n in (1, 30):
+        cfg = write_config(tmp_path, {"n": n})
+        code = main(["bqp-solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        error = _last_error(capsys)
+        assert error["kind"] == "config" and "exact-solve cap" in error["error"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bqp-solve", "waveopt-trace"])
+@pytest.mark.parametrize("flag", [["--trials", "5"], ["--desk-scale"]])
+def test_probe_commands_refuse_campaign_flags(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as err:
+        main([command, *flag, "--out", str(tmp_path / "out")])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_campaign_points_resolved_twice_and_verbose_lists_files(
+        tmp_path, capsys, monkeypatch):
+    # once when the config loads, once in the campaign's pass before trial 0
+    from irsloc import harness
+    resolved = []
+    original = harness.resolve_point
+
+    def counting(spec, point):
+        resolved.append(point)
+        return original(spec, point)
+    monkeypatch.setattr(harness, "resolve_point", counting)
+    payload = json.loads(json.dumps(TINY_CAMPAIGN))
+    payload["points"] = [{"n_y": 2}, {"n_y": 3}]
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["localize", "-v", "--config", str(cfg), "--trials", "1",
+                 "--out", str(out)]) == 0
+    assert len(resolved) == 2 * 2
+    listed = capsys.readouterr().err.splitlines()
+    assert listed == [f"wrote {out / name}" for name in (
+        "localization_points.csv", "localization_trials.csv",
+        "localization_curve.csv", "localization_diagnostics.csv",
+        "manifest.json")]
+
+
 def test_waveopt_trace_outputs(tmp_path):
     cfg = write_config(tmp_path, {"n_elements": 5, "m_antennas": 3,
                                   "n_hypotheses": 3, "seed": 1})

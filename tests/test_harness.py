@@ -228,11 +228,48 @@ def test_non_orthogonal_pilots_rejected_up_front(monkeypatch):
         return replace(sched, pilots=crandn(np.random.default_rng(0),
                                             *sched.pilots.shape))
     monkeypatch.setattr(harness.pilot, "build_schedule", gaussian_pilots)
-    cfg = noiseless_scene(m_antennas=5, n_x=3, n_y=2)
-    pilot_p = PilotParams(m_t=2, snr_db=None, pilot_power=1.0)
+    _no_trials(monkeypatch)
+    spec = chanest_spec(scene=noiseless_scene(m_antennas=5, n_x=3, n_y=2),
+                        points=[{"m_t": 2}])
     with pytest.raises(harness.PointRejected,
                        match=r"'m_t': 2.*orthogonal and of equal power"):
-        harness._point_schedule({"m_t": 2}, cfg, pilot_p)
+        run_chanest_campaign(spec)
+
+
+def test_each_point_resolved_once_with_one_grid(monkeypatch):
+    # the pass before trial 0 resolves, checks and builds each point once;
+    # every trial of a point reads the point's schedule and read-only grid
+    calls = {"resolve": 0, "grid": 0}
+    for module, name, key in ((harness, "resolve_point", "resolve"),
+                              (harness.localize, "build_hypothesis_grid", "grid")):
+        def counting(*args, _original=getattr(module, name), _key=key, **kw):
+            calls[_key] += 1
+            return _original(*args, **kw)
+        monkeypatch.setattr(module, name, counting)
+    grids = []
+    original_trial = harness.run_localization_trial
+
+    def keep(cfg, sched, grid, *args):
+        grids.append(grid)
+        return original_trial(cfg, sched, grid, *args)
+    monkeypatch.setattr(harness, "run_localization_trial", keep)
+    spec = localization_spec(points=[{"n_y": 2}, {"n_y": 3}], trials=3)
+    run_localization_campaign(spec)
+    assert calls == {"resolve": 2, "grid": 2}
+    assert [id(g) for g in grids] == [id(grids[0])] * 3 + [id(grids[3])] * 3
+    assert not grids[0].steering.flags.writeable
+
+
+@pytest.mark.parametrize("kw", [
+    {"points": [{"n_y": 2, "arm": "random"}, {"n_y": 3},
+                {"arm": "random", "n_y": 2}]},
+    {"sweep": {"n_y": [2, 3, 2]}},
+], ids=["points", "sweep"])
+def test_point_listed_twice_refused(monkeypatch, kw):
+    # its trials would rerun on the same derived seeds and write the same rows
+    _no_trials(monkeypatch)
+    with pytest.raises(harness.PointRejected, match=r"'n_y': 2.*listed twice"):
+        run_localization_campaign(localization_spec(**kw))
 
 
 def test_schedule_built_once_per_point_and_read_only(monkeypatch):
@@ -347,17 +384,22 @@ def test_desk_scale_preset():
     desk = apply_desk_scale(spec)
     assert desk.scene.n_y == 2
     assert desk.trials == 8
-    assert desk.sweep["n_y"] == [2, 2]
+    # the capped values 2 and 2 would be one point twice
+    assert desk.sweep["n_y"] == [2]
     assert spec.trials == 30  # original untouched
+    assert apply_desk_scale(replace(spec, sweep={"n_y": [1, 4, 2, 3]})
+                            ).sweep["n_y"] == [1, 2]
 
 
 def test_desk_scale_caps_explicit_points():
     data = CAMPAIGN_CONFIGS["fig10_arms.json"]
     desk = apply_desk_scale(spec_from_dict(data))
     resolved = [resolve_point(desk, p)[0] for p in desk.sweep_points()]
-    assert [(cfg.n_x, cfg.n_y) for cfg in resolved] == [(5, 2)] * 4
-    assert [p["arm"] for p in desk.points] == [p["arm"] for p in data["points"]]
+    assert [(cfg.n_x, cfg.n_y) for cfg in resolved] == [(5, 2)] * 3
+    # the third point capped is the first one again: the first is kept
+    assert desk.points == [data["points"][i] | {"n_y": 2} for i in (0, 1, 3)]
     assert data["points"][0]["n_y"] == 4  # the loaded config is left alone
+    desk.validate()
 
 
 def test_point_key_stable():

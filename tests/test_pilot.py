@@ -27,6 +27,27 @@ def test_subframe_enumeration():
     assert build_schedule(4, 2, 4).n_subframes == 6
 
 
+@pytest.mark.parametrize("m,m_t", [(4, 1), (5, 2), (6, 3)])
+def test_schedule_antenna_layout_and_pair_counts(m, m_t):
+    # built once per schedule, read-only, and the per-subframe loops' values
+    sched = build_schedule(m, m_t, 4)
+    counts = np.zeros((m, m), dtype=int)
+    for a_set, b_set in sched.subframes:
+        for a in a_set:
+            for b in b_set:
+                counts[a, b] += 1
+                counts[b, a] += 1
+    assert sched.tx_antennas.tolist() == [list(a) for a, _ in sched.subframes]
+    assert sched.rx_antennas.tolist() == [list(b) for _, b in sched.subframes]
+    assert np.array_equal(sched.pair_counts, counts)
+    assert counts[~np.eye(m, dtype=bool)].tolist() == \
+        [2 * comb(m - 2, m_t - 1)] * (m * (m - 1))
+    for name in ("tx_antennas", "rx_antennas", "pair_counts"):
+        arr = getattr(sched, name)
+        assert not arr.flags.writeable, name
+        assert getattr(sched, name) is arr, name
+
+
 def test_identifiability_guard():
     with pytest.raises(IdentifiabilityError):
         build_schedule(4, 1, 9, n_diffs=8)

@@ -6,7 +6,7 @@ factor.  This module recovers that sign-ambiguous estimate in three steps:
 
 1. ``pairwise_products`` averages all LS estimates of every product;
 2. ``initialize`` turns the averaged products into a first channel guess
-   through square-root / geometric-mean identities row by row;
+   through square-root / geometric-mean identities, all rows in one pass;
 3. ``refine`` runs cyclic coordinate descent on the weighted least-squares
    ML objective, updating one complex entry at a time in closed form.
 
@@ -40,15 +40,20 @@ variables, and it updates only the gradients the row still reads.  For a
 partly used last pattern the schedule's ``pattern_gram`` raises
 ValueError, and ``refine`` with it.
 
-``initialize`` computes every row whose anchor tuples are all usable in
-one pass of array operations, and the remaining rows one by one.  Both
-paths, the row kernel, the residual set-up and the product averaging
-round exactly as the scalar per-row and per-entry code and the
-``np.add.at`` scatter they replace, so campaign output is byte for byte
-the same.  numpy's complex *array* product may fuse multiply-adds and
-differ from the scalar product in the last bit, so the vectorized
-initializer and the residual set-up form their products from real parts
-(``_scalar_mul``), and the kernel multiplies Python complex scalars only.
+``initialize`` computes every row in one pass of array operations, rows
+with the same column and usable tuples together.  The initializer, the
+row kernel, the residuals and the product averaging round exactly as the
+scalar per-row and per-entry code and the ``np.add.at`` scatter they
+replace, so campaign output is byte for byte the same.  numpy's complex
+*array* product may fuse multiply-adds and differ from the scalar
+product in the last bit, so the initializer and the residuals form their
+products from real parts (``_scalar_mul``), and the kernel multiplies
+Python complex scalars only.  Layout matters too: a group's boolean
+column selection ``vals[rows][:, mask]`` is Fortran-ordered, and its
+``mean(axis=1)`` then sums a row in another order than ``np.mean`` of
+that row alone (58 of 400 random rows moved in the last bit at M = 5),
+so the initializer selects with ``compress``, which keeps C order; the
+residuals are C-ordered for the same reason.
 
 The per-row sign vector is *not* resolved here; downstream localization
 treats it as a binary nuisance parameter.  ``normalized_error`` scores an
@@ -108,38 +113,25 @@ def _average_products(sched, omega: np.ndarray) -> np.ndarray:
     return h_bar
 
 
-def _row_anchor_estimate(h_row: np.ndarray, anchor: int, floor: float):
-    """Square-root estimates of g_{n,anchor} from all valid (p, q) tuples."""
-    m = h_row.shape[0]
-    others = [k for k in range(m) if k != anchor]
-    values = []
-    for idx_p in range(len(others)):
-        for idx_q in range(idx_p + 1, len(others)):
-            p, q = others[idx_p], others[idx_q]
-            den = h_row[p, q]
-            if not np.isfinite(den) or abs(den) <= floor:
-                continue
-            val = np.sqrt(h_row[anchor, p] * h_row[anchor, q] / den)
-            if np.isfinite(val) and val != 0:
-                values.append(val)
-    return values
-
-
 def initialize(h_bar: np.ndarray, anchor: int = 0) -> np.ndarray:
     """Initial channel estimate from averaged products (rows known up to sign).
 
     For the anchor column, each tuple (p, q) of other columns gives
     sqrt(h[l,p] h[l,q] / h[p,q]) on the principal branch; the row estimate
-    is the geometric mean of all tuples after aligning their (arbitrary)
-    signs to the first one.  Remaining entries follow by dividing the
-    averaged products by the anchor estimate.  Requires M >= 3.
+    is the geometric mean of all usable tuples after aligning their
+    (arbitrary) signs to the first one.  Remaining entries follow by
+    dividing the averaged products by the anchor estimate.  A tuple is
+    usable when its denominator is finite with a modulus above 1e-12 of the
+    row's largest product and its root is finite and nonzero.  A row with
+    no usable anchor tuple takes the column with the most usable tuples,
+    ties going to the strongest denominator above that floor, then to the
+    lowest column.  Requires M >= 3.
 
-    Rows whose every anchor tuple is usable are computed together, with the
-    same floating-point operations as the per-row path; a row with a
-    degenerate tuple takes ``_initialize_row``, the anchor fallback included.
-    Raises InitializationError naming the row when a row has no usable
-    tuple, or when an entry of the estimate is not finite (a NaN or
-    infinite product outside the anchor's usable tuples reaches it).
+    All rows are computed in one pass of array operations, grouped by
+    their column and usable tuples.  Raises InitializationError naming the
+    first row that has no usable tuple at any column, or else the first
+    row with a non-finite entry (a NaN or infinite product outside its
+    column's usable tuples reaches it).
     """
     n, m = h_bar.shape[0], h_bar.shape[1]
     if m < 3:
@@ -147,33 +139,63 @@ def initialize(h_bar: np.ndarray, anchor: int = 0) -> np.ndarray:
     if not 0 <= anchor < m:
         raise ValueError(f"anchor column {anchor} out of range")
 
-    others = [k for k in range(m) if k != anchor]
-    ps, qs = (list(ix) for ix in zip(*itertools.combinations(others, 2)))
     # nanmax of each row's off-diagonal moduli, without the all-NaN warning
     peak = np.fmax.reduce(np.abs(h_bar[:, ~np.eye(m, dtype=bool)]), axis=1)
     floor = np.where(peak > 0, 1e-12 * peak, 0.0)
+    col = np.full(n, anchor)
     with np.errstate(all="ignore"):
-        den = h_bar[:, ps, qs]
-        vals = np.sqrt(_scalar_mul(h_bar[:, anchor, ps], h_bar[:, anchor, qs])
-                       / den)
-        # np.hypot, not np.abs: it rounds as the per-row abs(den) does
-        usable = (np.isfinite(den) & (np.hypot(den.real, den.imag) > floor[:, None])
-                  & np.isfinite(vals) & (vals != 0)).all(axis=1)
+        vals, usable, _ = _anchor_tuples(h_bar, anchor, floor)
+        lost = np.flatnonzero(~usable.any(axis=1))
+        if lost.size:
+            # every column's tuples of the lost rows, each M x rows x tuples
+            c_vals, c_usable, c_mod = (np.stack(t) for t in zip(*(
+                _anchor_tuples(h_bar[lost], c, floor[lost]) for c in range(m))))
+            count = c_usable.sum(axis=2)
+            strongest = np.where(c_mod > floor[lost, None], c_mod, -1.0).max(axis=2)
+            dead = lost[count.max(axis=0) == 0]
+            if dead.size:
+                raise InitializationError(
+                    f"row {dead[0]}: every square-root tuple is degenerate")
+            # a stable sort: equal keys keep the lowest column first
+            col[lost] = np.lexsort((-strongest, -count), axis=0)[0]
+            pick = col[lost], np.arange(lost.size)
+            vals[lost], usable[lost] = c_vals[pick], c_usable[pick]
 
+    groups = {}
+    for row, key in enumerate(np.column_stack((col, usable)).tolist()):
+        groups.setdefault(tuple(key), []).append(row)
     g0 = np.empty((n, m), dtype=complex)
-    vals = vals[usable]
-    ref = vals[:, :1]
-    aligned = np.where((vals / ref).real >= 0, vals, -vals)
-    g_col = _scalar_mul(ref[:, 0], np.exp(np.log(aligned / ref).mean(axis=1)))
-    g0[usable, anchor] = g_col
-    g0[np.ix_(usable, others)] = h_bar[usable, anchor][:, others] / g_col[:, None]
-    for row in np.flatnonzero(~usable):
-        g0[row] = _initialize_row(h_bar[row], anchor, row)
+    for (c, *mask), rows in groups.items():
+        others = [a for a in range(m) if a != c]
+        # compress keeps the group C-ordered: mean(axis=1) then sums each
+        # row in the order np.mean sums that row's values alone
+        v = vals[rows].compress(mask, axis=1)
+        ref = v[:, :1]
+        aligned = np.where((v / ref).real >= 0, v, -v)
+        g_col = _scalar_mul(ref[:, 0], np.exp(np.log(aligned / ref).mean(axis=1)))
+        g0[rows, c] = g_col
+        g0[np.ix_(rows, others)] = h_bar[rows, c][:, others] / g_col[:, None]
     bad = np.flatnonzero(~np.isfinite(g0).all(axis=1))
     if bad.size:
         raise InitializationError(f"row {bad[0]}: a non-finite entry, from a "
                                   "non-finite averaged product")
     return g0
+
+
+def _anchor_tuples(h_bar: np.ndarray, anchor: int, floor: np.ndarray):
+    """Column a = ``anchor``'s roots sqrt(h[l,a,p] h[l,a,q] / h[l,p,q]) of
+    every tuple (p, q) of the other columns in combinations order, whether
+    each is usable above its row's denominator ``floor``, and the
+    denominators' moduli: three N x C(M-1, 2) arrays."""
+    others = [k for k in range(h_bar.shape[1]) if k != anchor]
+    ps, qs = (list(ix) for ix in zip(*itertools.combinations(others, 2)))
+    den = h_bar[:, ps, qs]
+    vals = np.sqrt(_scalar_mul(h_bar[:, anchor, ps], h_bar[:, anchor, qs]) / den)
+    # np.hypot, not np.abs: it rounds as the per-row abs(den) does
+    mod = np.hypot(den.real, den.imag)
+    usable = (np.isfinite(den) & (mod > floor[:, None])
+              & np.isfinite(vals) & (vals != 0))
+    return vals, usable, mod
 
 
 def _scalar_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -186,41 +208,6 @@ def _scalar_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
     return out
-
-
-def _initialize_row(h_row: np.ndarray, anchor: int, row: int) -> np.ndarray:
-    """``initialize`` of one row, falling back to another anchor column."""
-    m = h_row.shape[0]
-    off = np.abs(h_row[~np.eye(m, dtype=bool)])
-    floor = 1e-12 * float(np.nanmax(off)) if np.nanmax(off) > 0 else 0.0
-
-    values = _row_anchor_estimate(h_row, anchor, floor)
-    col = anchor
-    if not values:
-        # Default anchor degenerate: pick the column with the most
-        # usable tuples, ties broken by the strongest denominator.
-        best_key = (-1, -1.0)
-        for cand in range(m):
-            cand_vals = _row_anchor_estimate(h_row, cand, floor)
-            others = [k for k in range(m) if k != cand]
-            dens = [abs(h_row[p, q]) for i, p in enumerate(others)
-                    for q in others[i + 1:] if abs(h_row[p, q]) > floor]
-            key = (len(cand_vals), max(dens, default=-1.0))
-            if key > best_key:
-                best_key, col, values = key, cand, cand_vals
-        if not values:
-            raise InitializationError(
-                f"row {row}: every square-root tuple is degenerate")
-
-    ref = values[0]
-    aligned = [v if (v / ref).real >= 0 else -v for v in values]
-    g_col = ref * np.exp(np.mean([np.log(v / ref) for v in aligned]))
-    g_row = np.empty(m, dtype=complex)
-    g_row[col] = g_col
-    for a in range(m):
-        if a != col:
-            g_row[a] = h_row[col, a] / g_col
-    return g_row
 
 
 @dataclass
@@ -268,7 +255,7 @@ class _MLObjective:
 
         # the pair order the row kernel reads its gradients and products in
         self.pairs = list(itertools.combinations(range(self.m), 2))
-        pi, pj = (np.array(ix) for ix in zip(*self.pairs))
+        self.pi, self.pj = pi, pj = [np.array(ix) for ix in zip(*self.pairs)]
 
         omega = obs.omega_ls  # pairwise_products has read ls_estimates(obs)
         if h_bar is None:
@@ -277,7 +264,8 @@ class _MLObjective:
         if np.any(counts != counts[0]):
             raise ValueError("refinement needs every antenna pair observed "
                              f"equally often, got counts {counts.tolist()}")
-        self.h_rows = h_bar[:, pi, pj].tolist()
+        self.h_pairs = h_bar[:, pi, pj]
+        self.h_rows = self.h_pairs.tolist()
         # the residuals at products = hbar, one column per support triple
         e0 = (omega.reshape(sched.n_subframes, self.n, m_t, n_rx).transpose(1, 0, 2, 3)
               - h_bar[:, sched.tx_antennas[:, :, None],
@@ -286,14 +274,16 @@ class _MLObjective:
         self.j0 = scale * float(np.vdot(e0, self.kp @ e0).real)
         self.weight = scale * int(counts[0])
 
-        # every row's ``refresh_row`` at once, rounded as its scalar products
-        self.residuals = h_bar[:, pi, pj] - _scalar_mul(g[:, pi], g[:, pj])
+        self.residuals = np.empty_like(self.h_pairs, order="C")
+        self.refresh_row(slice(None))
 
-    def refresh_row(self, row: int):
-        """Pair residuals of channel row ``row`` recomputed from g."""
-        g = self.g[row].tolist()
-        self.residuals[row] = [h - g[i] * g[j]
-                               for h, (i, j) in zip(self.h_rows[row], self.pairs)]
+    def refresh_row(self, row: int | slice):
+        """Pair residuals of channel row ``row`` (every row selected by a
+        slice) recomputed from g, rounded as the row kernel's scalar
+        products (``_scalar_mul``)."""
+        g = self.g[row]
+        self.residuals[row] = self.h_pairs[row] - _scalar_mul(g[..., self.pi],
+                                                              g[..., self.pj])
 
     def value(self) -> float:
         r = self.residuals

@@ -197,8 +197,10 @@ def joint_ml(y: np.ndarray, phi: np.ndarray,
 
     Profiling out gamma reduces the fit to maximizing the Rayleigh-type
     ratio of Phi^H y y^H Phi over Phi^H Phi on sign vectors; the residual
-    is ||y||^2 minus the achieved ratio.  At echo scales the Dinkelbach
-    stop ends the fit after one inner solve, so delta need not maximize it.
+    is ||y - gamma Phi delta||^2 at the fitted gamma and delta, formed
+    directly, not as ||y||^2 minus the ratio, which cancels.  At echo
+    scales the Dinkelbach stop ends the fit after one inner solve, so
+    delta need not maximize the ratio.
     """
     v = phi.conj().T @ y
     prob = RatioProblem(numerator=np.outer(v, v.conj()),

@@ -12,7 +12,7 @@ from irsloc.chanest import (InitializationError, _average_products,
                             initialize, normalized_error, pairwise_products,
                             refine)
 from irsloc.pilot import (build_design_matrix, build_schedule, ls_covariance,
-                          ls_estimates, simulate_pilot_round)
+                          ls_estimates, simulate_pilot_round, true_omega)
 from irsloc.scene import SceneConfig, synthesize_scene
 from irsloc.util import crandn, derive_seed
 
@@ -249,7 +249,7 @@ def set_pair(h, row, p, q, value):
     h[row, p, q] = h[row, q, p] = value
 
 
-@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
 def test_initialize_matches_per_row_oracle_bitwise(m):
     rng = np.random.default_rng(100 + m)
     h = random_h_bar(rng, 400, m)
@@ -270,10 +270,17 @@ def test_initialize_matches_per_row_oracle_bitwise(m):
     on_floor = ring[(np.abs(ring) > floor)
                     & np.array([abs(z) <= floor for z in ring])]
     set_pair(h, 8, 1, 2, on_floor[0])
+    # rows 9-128 in eight blocks, each with its own random pairs knocked
+    # out, so that rows with the same partly usable tuples, or the same
+    # fallback column, are computed together
+    for block in np.split(np.arange(9, 129), 8):
+        for _ in range(rng.integers(1, m)):
+            p, q = rng.choice(m, 2, replace=False)
+            h[block, p, q] = h[block, q, p] = (0.0, np.nan, np.inf, 1e-300)[rng.integers(4)]
     for anchor in sorted({0, 1, m - 1}):
         refused, nonfinite = [], 0
         with np.errstate(all="ignore"):
-            for row in range(9):
+            for row in range(129):
                 # a doctored row the per-row code refuses, or gives a
                 # non-finite entry, is refused, and the error names it
                 try:
@@ -845,3 +852,65 @@ def test_convergence_trace_recorded():
     assert est.objective_trace.shape[0] == est.iterations_run + 1
     assert est.ne_trace.shape[0] == est.iterations_run
     assert np.all(np.isfinite(est.ne_trace))
+
+
+# --------------------------------------------------------- Cramer-Rao bound
+
+def real_form(a, sigma2):
+    """Fisher information of (Re g, Im g) for a mean holomorphic in g with
+    complex information a, under CN(0, 2 sigma2 I) noise."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]]) / sigma2
+
+
+def fisher_information(scene, sched, sigma2):
+    """Fisher information of one pilot round in (Re G, Im G), row-major:
+    sum_p J_p^H Phi^H Phi J_p, with J_p the Jacobian of ``true_omega`` in G
+    and Phi the design matrix.  omega is quadratic in G, so a central
+    difference is its exact derivative."""
+    n, m = scene.G.shape
+    phi = build_design_matrix(sched)
+    gram = phi.conj().T @ phi
+    step = np.sqrt(np.mean(np.abs(scene.G) ** 2))
+    info = 0
+    for p in range(sched.n_subframes):
+        jac = np.column_stack([
+            (true_omega(replace(scene, G=scene.G + step * e), sched, p)
+             - true_omega(replace(scene, G=scene.G - step * e), sched, p)) / (2 * step)
+            for e in np.eye(n * m).reshape(-1, n, m)])
+        info = info + jac.conj().T @ gram @ jac
+    return real_form(info, sigma2)
+
+
+@pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)
+def test_fisher_information_matches_pair_closed_form(m, m_t, n_diffs):
+    # with Phi^H Phi = Kp kron I, the information is w sum_q D_q^H Kp D_q
+    # over the pairs q = (i, j), D_q[n, c] = d(g[n, i] g[n, j]) / d g[n, c]
+    cfg = SceneConfig(m_antennas=m, n_x=3, n_y=2, sigma2_dbm=-120.0)
+    scene = synthesize_scene(cfg, seed=0)
+    sched = build_schedule(m, m_t, cfg.n_elements, n_diffs=n_diffs,
+                           pilot_power=pilot_power_for_snr(cfg, 25.0))
+    g = scene.G
+    d = np.zeros((cfg.n_elements, m * (m - 1) // 2, m), dtype=complex)
+    for q, (i, j) in enumerate(itertools.combinations(range(m), 2)):
+        d[:, q, i], d[:, q, j] = g[:, j], g[:, i]
+    pair = sched.pair_counts[0, 1] * np.einsum(
+        "nqc,nk,kqd->nckd", d.conj(), sched.pattern_gram, d).reshape(g.size, g.size)
+    assert close(fisher_information(scene, sched, cfg.noise_power),
+                 real_form(pair, cfg.noise_power))
+
+
+def test_refined_error_meets_cramer_rao_bound():
+    # one fixed scene, M = 6, N = 25, 25 dB: the refinement is the ML fit,
+    # so the mean NE^2 over R rounds lies within 3 of the rounds' own
+    # standard errors of tr(FIM^-1) / ||G||^2
+    cfg = SceneConfig(m_antennas=6, n_x=5, n_y=5, sigma2_dbm=-120.0)
+    scene = synthesize_scene(cfg, seed=0)
+    sched = build_schedule(6, 1, cfg.n_elements,
+                           pilot_power=pilot_power_for_snr(cfg, 25.0))
+    fim = fisher_information(scene, sched, cfg.noise_power)
+    bound = np.trace(np.linalg.inv(fim)) / np.linalg.norm(scene.G) ** 2
+    rounds = 40
+    ne2 = np.array([normalized_error(estimate_channel(
+        simulate_pilot_round(scene, sched, seed=r)).g_hat, scene.G) ** 2
+        for r in range(rounds)])
+    assert abs(ne2.mean() - bound) <= 3 * ne2.std(ddof=1) / np.sqrt(rounds)

@@ -43,8 +43,9 @@ ValueError, and ``refine`` with it.
 ``initialize`` computes every row in one pass of array operations, rows
 with the same column and usable tuples together.  The initializer, the
 row kernel, the residuals and the product averaging round exactly as the
-scalar per-row and per-entry code and the ``np.add.at`` scatter they
-replace, so campaign output is byte for byte the same.  numpy's complex
+tests' oracles: the per-row ``oracle_initialize``, the per-entry
+``oracle_sweep`` and the ``np.add.at`` scatter of
+``oracle_average_products``, which they match bit for bit.  numpy's complex
 *array* product may fuse multiply-adds and differ from the scalar
 product in the last bit, so the initializer and the residuals form their
 products from real parts (``_scalar_mul``), and the kernel multiplies
@@ -96,9 +97,9 @@ def _average_products(sched, omega: np.ndarray) -> np.ndarray:
     n_rx = sched.n_rx
 
     sums = np.zeros((n, m, m), dtype=complex)
-    # a validated split has disjoint transmit and receive sets of M_t and
-    # M - M_t antennas, so (ai, bj) names no cell twice and a plain scatter
-    # adds what np.add.at would, in the same subframe order
+    # a ``build_schedule`` split has disjoint transmit and receive sets of
+    # M_t and M - M_t antennas, so (ai, bj) names no cell twice and a plain
+    # scatter adds what np.add.at would, in the same subframe order
     for p, (ai, bj) in enumerate(zip(sched.tx_antennas[:, :, None],
                                      sched.rx_antennas[:, None, :])):
         sums[:, ai, bj] += omega[p].reshape(n, m_t, n_rx)
@@ -224,7 +225,6 @@ class ChannelEstimate:
     final_objective: float
     converged: bool
     objective_trace: np.ndarray = field(repr=False, default=None)
-    update_objectives: np.ndarray = field(repr=False, default=None)
     ne_trace: np.ndarray = field(repr=False, default=None)
 
 
@@ -299,7 +299,8 @@ class _MLObjective:
         pair residuals.  An entry with zero curvature is skipped; after
         every other step ``on_update(row, col)`` is called with g current
         (the kernel's callback variant writes the entry through) and the
-        row's residuals not yet refreshed.
+        row's residuals not yet refreshed.  ``refine`` passes none; the
+        tests watch the per-update state through it.
         """
         kernel = _row_kernel(self.m, on_update is not None)
         residuals, knn, h_rows, g_out = self.residuals, self.knn, self.h_rows, self.g
@@ -376,7 +377,6 @@ def _row_kernel(m: int, callback: bool = False):
 
 def refine(obs: ObservationSet, g_init: np.ndarray | None = None,
            max_sweeps: int = 300, tol: float = 1e-8,
-           record_update_objectives: bool = False,
            g_true: np.ndarray | None = None) -> ChannelEstimate:
     """Cyclic coordinate-descent refinement of the channel estimate.
 
@@ -386,9 +386,8 @@ def refine(obs: ObservationSet, g_init: np.ndarray | None = None,
     order; each single-entry update is the exact minimizer of the ML
     objective over that entry, so the objective is nonincreasing update by
     update.  Stops when the relative objective decrease over a full sweep
-    drops below ``tol`` or after ``max_sweeps``.  With
-    ``record_update_objectives``, ``update_objectives`` holds the objective
-    after every update (entries with zero curvature are skipped).
+    drops below ``tol`` or after ``max_sweeps``.  With ``g_true``,
+    ``ne_trace`` holds the normalized error after every sweep.
     """
     h_bar = pairwise_products(obs)
     if g_init is None:
@@ -396,17 +395,11 @@ def refine(obs: ObservationSet, g_init: np.ndarray | None = None,
     state = _MLObjective(obs, np.array(g_init, dtype=complex), h_bar)
     j_prev = state.value()
     trace = [j_prev]
-    per_update = [] if record_update_objectives else None
     ne_trace = [] if g_true is not None else None
     converged = False
     sweeps = 0
-
-    def record(row, col):
-        state.refresh_row(row)
-        per_update.append(state.value())
-
     for sweeps in range(1, max_sweeps + 1):
-        state.sweep(None if per_update is None else record)
+        state.sweep()
         j_now = state.value()
         trace.append(j_now)
         if ne_trace is not None:
@@ -420,7 +413,6 @@ def refine(obs: ObservationSet, g_init: np.ndarray | None = None,
     return ChannelEstimate(
         g_hat=state.g, iterations_run=sweeps, final_objective=j_prev,
         converged=converged, objective_trace=np.asarray(trace),
-        update_objectives=None if per_update is None else np.asarray(per_update),
         ne_trace=None if ne_trace is None else np.asarray(ne_trace))
 
 

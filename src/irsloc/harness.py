@@ -140,7 +140,7 @@ _POINT_AXES = {
 
 def resolve_point(spec: ExperimentSpec, point: dict):
     """Apply one sweep point to copies of the experiment spec's sections."""
-    scene_kw = dataclasses.asdict(spec.scene)
+    scene_kw = {}
     pilot_p = dataclasses.replace(spec.pilot)
     loc_p = dataclasses.replace(spec.localization)
     for axis, value in point.items():
@@ -157,9 +157,7 @@ def resolve_point(spec: ExperimentSpec, point: dict):
             loc_p.optimize_waveform = value == "optimized"
         else:
             setattr(loc_p, name, value)
-    scene_kw["bs_position"] = tuple(scene_kw["bs_position"])
-    scene_kw["irs_center"] = tuple(scene_kw["irs_center"])
-    return SceneConfig(**scene_kw), pilot_p, loc_p
+    return dataclasses.replace(spec.scene, **scene_kw), pilot_p, loc_p
 
 
 def _resolve_points(spec: ExperimentSpec, localization: bool) -> list:
@@ -233,11 +231,15 @@ class ExperimentResult:
 
 
 def estimate_channel_once(cfg: SceneConfig, sched: pilot.PilotSchedule,
-                          seed_scene, seed_noise, g_true_trace: bool = False):
+                          master_seed, key, trial, g_true_trace: bool = False):
     """One pilot round over ``sched`` plus estimation; returns (scene,
-    estimate, ne)."""
-    scene = synthesize_scene(cfg, seed=seed_scene)
-    obs = pilot.simulate_pilot_round(scene, sched, seed=seed_noise)
+    estimate, ne).  The one owner of a trial's scene and pilot seeds: both
+    campaigns draw trial ``trial`` of point ``key`` through it, so they
+    draw the same channel and pilot noise."""
+    scene = synthesize_scene(
+        cfg, seed=derive_seed(master_seed, "scene", key, trial))
+    obs = pilot.simulate_pilot_round(
+        scene, sched, seed=derive_seed(master_seed, "pilot", key, trial))
     est = chanest.estimate_channel(
         obs, g_true=scene.G if g_true_trace else None)
     ne = chanest.normalized_error(est.g_hat, scene.G)
@@ -251,10 +253,8 @@ def run_chanest_campaign(spec: ExperimentSpec) -> ExperimentResult:
         key = point_key(point)
         errors = []
         for trial in range(spec.trials):
-            seed_scene = derive_seed(spec.master_seed, "scene", key, trial)
-            seed_noise = derive_seed(spec.master_seed, "pilot", key, trial)
             _, est, ne = estimate_channel_once(
-                cfg, sched, seed_scene, seed_noise,
+                cfg, sched, spec.master_seed, key, trial,
                 g_true_trace=spec.record_convergence)
             errors.append(ne)
             trial_rows.append({**point, "trial": trial, "ne": ne,
@@ -285,9 +285,7 @@ def run_localization_trial(cfg: SceneConfig, sched: pilot.PilotSchedule,
                            loc_p: LocalizationParams, master_seed, key, trial):
     """Full pipeline for one channel realization over the point's shared
     schedule and hypothesis grid; returns trial records."""
-    seed_scene = derive_seed(master_seed, "scene", key, trial)
-    seed_noise = derive_seed(master_seed, "pilot", key, trial)
-    scene, est, ne = estimate_channel_once(cfg, sched, seed_scene, seed_noise)
+    scene, est, ne = estimate_channel_once(cfg, sched, master_seed, key, trial)
     g_hat = est.g_hat
 
     true_hyp = grid.true_hypothesis(cfg.target_theta_deg)

@@ -26,8 +26,8 @@ the C x N M_t ``pattern``, its pseudo-inverse (the LS solve of a round is
 one product with it), rank check and the N x N pattern Gram matrix Kp of
 Phi^H Phi = Kp kron I; ``build_design_matrix`` forms Phi as a reference.
 ``simulate_pilot_round`` simulates all P subframes together: one draw of
-every subframe's normals and one stacked product, bit for bit the
-per-subframe loop.
+every subframe's normals and one stacked product, bit for bit the tests'
+per-subframe loop ``subframe_loop_round``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,11 @@ class PilotSchedule:
     sequences, so they share one design matrix and one LS error covariance.
     The factors below, and the subframes' antenna arrays and pair counts,
     are computed on first use and kept read-only.
+
+    The schedule checks nothing itself: ``build_schedule`` refuses C <
+    N M_t and builds every split as a partition of the M antennas and one
+    pilot vector per difference; ``pattern_pinv`` and ``pattern_gram``
+    refuse a pattern that the LS solve or the refinement cannot use.
     """
 
     m_antennas: int
@@ -80,18 +85,6 @@ class PilotSchedule:
     @property
     def n_rx(self) -> int:
         return self.m_antennas - self.m_t
-
-    def validate(self):
-        full = set(range(self.m_antennas))
-        for a_set, b_set in self.subframes:
-            if set(a_set) | set(b_set) != full or set(a_set) & set(b_set):
-                raise ValueError(f"invalid antenna split {a_set} / {b_set}")
-        if self.n_diffs < self.n_elements * self.m_t:
-            raise IdentifiabilityError(
-                f"need C >= N*M_t = {self.n_elements * self.m_t} differences, "
-                f"got {self.n_diffs}")
-        if self.pilots.shape != (self.n_diffs, self.m_t):
-            raise ValueError("pilot array shape mismatch")
 
     @cached_property
     def tx_antennas(self) -> np.ndarray:
@@ -184,8 +177,8 @@ def build_schedule(m_antennas: int, m_t: int, n_elements: int,
                    pilot_power: float = 1.0) -> PilotSchedule:
     """Enumerate all antenna splits and build the IRS / pilot sequences.
 
-    ``n_diffs`` defaults to the identifiability minimum N * M_t.  The
-    sequence arrays are read-only.
+    ``n_diffs`` defaults to the identifiability minimum N * M_t; a smaller
+    one raises IdentifiabilityError.  The sequence arrays are read-only.
     """
     if not 1 <= m_t < m_antennas:
         raise ValueError(f"need 1 <= M_t < M, got M_t={m_t}, M={m_antennas}")
@@ -218,12 +211,10 @@ def build_schedule(m_antennas: int, m_t: int, n_elements: int,
     delta_theta = read_only((states[:, pattern_idx + 1] - states[:, pattern_idx]).T)
     irs_base = read_only(states[:, pattern_idx].T)
     pilots = read_only(pilot_set[:, pilot_idx].T)
-    sched = PilotSchedule(m_antennas=m_antennas, m_t=m_t,
-                          n_elements=n_elements, pilot_power=pilot_power,
-                          subframes=subframes, delta_theta=delta_theta,
-                          irs_base=irs_base, pilots=pilots)
-    sched.validate()
-    return sched
+    return PilotSchedule(m_antennas=m_antennas, m_t=m_t,
+                         n_elements=n_elements, pilot_power=pilot_power,
+                         subframes=subframes, delta_theta=delta_theta,
+                         irs_base=irs_base, pilots=pilots)
 
 
 def build_design_matrix(schedule: PilotSchedule) -> np.ndarray:

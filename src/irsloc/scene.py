@@ -76,23 +76,18 @@ class SceneConfig:
 
     @property
     def noise_power(self) -> float:
-        """Receiver noise power in watts; -inf dBm encodes a noiseless run."""
-        if np.isinf(self.sigma2_dbm) and self.sigma2_dbm < 0:
-            return 0.0
+        """Receiver noise power in watts; -inf dBm gives exactly 0.0, a
+        noiseless run."""
         return dbm2watt(self.sigma2_dbm)
 
     @property
     def si_power(self) -> float:
-        """Self-interference channel power (linear)."""
-        if np.isinf(self.sigma2_si_db) and self.sigma2_si_db < 0:
-            return 0.0
+        """Self-interference channel power (linear), 0.0 at -inf dB."""
         return db2lin(self.sigma2_si_db)
 
     @property
     def ref_power(self) -> float:
-        """Environment scattering channel power (linear)."""
-        if np.isinf(self.sigma2_ref_db) and self.sigma2_ref_db < 0:
-            return 0.0
+        """Environment scattering channel power (linear), 0.0 at -inf dB."""
         return db2lin(self.sigma2_ref_db)
 
 

@@ -79,7 +79,7 @@ def test_criterion_1_noiseless_end_to_end():
                   f"<= {worst_cycles} cycles, {elapsed:.1f}s")
 
 
-def test_criterion_2_coordinate_descent_monotone():
+def test_criterion_2_coordinate_descent_monotone(record_update_objectives):
     # pilot overhead 2*N differences per subframe: the minimal C = N design
     # occasionally needs > 300 sweeps on ill-conditioned channel draws
     failures = 0
@@ -88,9 +88,7 @@ def test_criterion_2_coordinate_descent_monotone():
         scene, obs = noisy_obs(15.0, scene_seed=trial, noise_seed=5000 + trial,
                                n_diffs=18)
         g0 = chanest.initialize(chanest.pairwise_products(obs))
-        est = chanest.refine(obs, g0, max_sweeps=300, tol=1e-8,
-                             record_update_objectives=True)
-        j = est.update_objectives
+        est, j = record_update_objectives(obs, g0, max_sweeps=300, tol=1e-8)
         drops = np.diff(j)
         if not np.all(drops <= 1e-12 * np.maximum(1.0, np.abs(j[:-1]))):
             failures += 1

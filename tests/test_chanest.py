@@ -323,12 +323,11 @@ def test_refine_noiseless_reaches_truth():
     assert normalized_error(est.g_hat, scene.G) < 1e-6
 
 
-def test_objective_nonincreasing_per_update():
+def test_objective_nonincreasing_per_update(record_update_objectives):
     scene, obs = make_noisy_obs(15.0, scene_seed=5, noise_seed=17)
     h_bar = pairwise_products(obs)
     g0 = initialize(h_bar)
-    est = refine(obs, g0, max_sweeps=40, record_update_objectives=True)
-    j = est.update_objectives
+    est, j = record_update_objectives(obs, g0, max_sweeps=40)
     drops = np.diff(j)
     assert np.all(drops <= 1e-12 * np.maximum(1.0, np.abs(j[:-1])))
 
@@ -770,26 +769,37 @@ def test_unequal_pair_counts_rejected():
         refine(obs, scene.G)
 
 
-def test_record_update_objectives_keeps_trajectory():
+def test_record_update_objectives_keeps_trajectory(record_update_objectives,
+                                                  monkeypatch):
     scene, obs = make_noisy_obs(15.0, scene_seed=5, noise_seed=17)
     g0 = initialize(pairwise_products(obs))
-    plain = refine(obs, g0, max_sweeps=40)
-    recorded = refine(obs, g0, max_sweeps=40, record_update_objectives=True)
+    callbacks = []
+    sweep = _MLObjective.sweep
+
+    def spy(state, on_update=None):
+        callbacks.append(on_update)
+        sweep(state, on_update)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_MLObjective, "sweep", spy)
+        plain = refine(obs, g0, max_sweeps=40)
+    recorded, _ = record_update_objectives(obs, g0, max_sweeps=40)
     assert np.array_equal(plain.g_hat, recorded.g_hat)
     assert np.array_equal(plain.objective_trace, recorded.objective_trace)
-    assert plain.update_objectives is None
+    # a plain refinement records nothing: its sweeps get no callback
+    assert callbacks and all(c is None for c in callbacks)
 
 
-def test_update_objectives_one_per_update():
+def test_update_objectives_one_per_update(record_update_objectives):
     obs, g0 = perturbed_round(4, 1, None)
     g0[2] = 0.0  # a zero row stays zero: all its entries are skipped
-    est = refine(obs, g0, max_sweeps=5, record_update_objectives=True)
+    est, update_objectives = record_update_objectives(obs, g0, max_sweeps=5)
     n, m = g0.shape
-    assert est.update_objectives.shape == (est.iterations_run * (n - 1) * m,)
+    assert update_objectives.shape == (est.iterations_run * (n - 1) * m,)
     assert not np.any(est.g_hat[2])
     # the last recorded objective is the sweep's
-    assert est.update_objectives[-1] == pytest.approx(est.objective_trace[-1],
-                                                      rel=1e-12)
+    assert update_objectives[-1] == pytest.approx(est.objective_trace[-1],
+                                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("m,m_t,n_diffs", SHAPES)

@@ -101,6 +101,16 @@ def test_full_pipeline_deterministic(tmp_path):
                 "localization/localization_curve.csv",
                 "localization/localization_diagnostics.csv"):
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+    # both stages draw each trial's channel and pilot noise from the same
+    # seeds, so they estimate the same channel
+    ne_columns = []
+    for rel in ("chanest/chanest_trials.csv",
+                "localization/localization_trials.csv"):
+        header, *rows = (outs[0] / rel).read_text().splitlines()[:-1]
+        col = header.split(",").index("ne")
+        ne_columns.append([row.split(",")[col] for row in rows])
+    assert len(ne_columns[0]) == payload["trials"]
+    assert ne_columns[0] == ne_columns[1]
 
 
 def test_seed_and_trials_override(tmp_path):

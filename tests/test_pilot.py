@@ -27,10 +27,17 @@ def test_subframe_enumeration():
     assert build_schedule(4, 2, 4).n_subframes == 6
 
 
-@pytest.mark.parametrize("m,m_t", [(4, 1), (5, 2), (6, 3)])
+@pytest.mark.parametrize("m,m_t", [(2, 1), (3, 1), (4, 1), (5, 2), (6, 3),
+                                   (7, 3)])
 def test_schedule_antenna_layout_and_pair_counts(m, m_t):
     # built once per schedule, read-only, and the per-subframe loops' values
     sched = build_schedule(m, m_t, 4)
+    # one subframe per split, each a partition of the antennas, and one
+    # pilot vector per difference
+    assert sched.n_subframes == comb(m, m_t)
+    for a_set, b_set in sched.subframes:
+        assert sorted(a_set + b_set) == list(range(m))
+    assert sched.pilots.shape == (sched.n_diffs, m_t)
     counts = np.zeros((m, m), dtype=int)
     for a_set, b_set in sched.subframes:
         for a in a_set:

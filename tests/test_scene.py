@@ -127,6 +127,9 @@ def test_config_validation():
 def test_noise_power_units():
     cfg = SceneConfig(sigma2_dbm=-120.0)
     assert cfg.noise_power == pytest.approx(1e-15, rel=1e-12)
-    silent = SceneConfig(sigma2_dbm=-np.inf)
+    silent = SceneConfig(sigma2_dbm=-np.inf, sigma2_si_db=-np.inf,
+                         sigma2_ref_db=-np.inf)
     assert silent.noise_power == 0.0
+    assert silent.si_power == 0.0
+    assert silent.ref_power == 0.0
     assert SceneConfig(sigma2_si_db=-10.0).si_power == pytest.approx(0.1)

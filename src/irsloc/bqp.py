@@ -7,12 +7,13 @@ Two layers:
   delta = [1, p, q], each value is a prefix form plus a suffix form plus
   one entry of a prefix-by-suffix matrix product.  Both forms are folded
   into that product as two extra columns and rows, so each block of about
-  2^15 table entries is one matrix product into one reused buffer.  A
-  table of more than one block (N >= 17) is visited prefix by prefix in
-  decreasing order of an upper bound on the prefix's entries, and the
-  visit stops once no prefix left can reach the band of the maximum.
-  Every entry that can win lies in a visited prefix, so the candidates
-  rescored are those of the full table and the result is the same;
+  2^15 table entries is one matrix product into one reused buffer.  In a
+  table of more than one block (N >= 17) an upper bound on each prefix's
+  entries picks the prefixes to compute in one pass: the row of the
+  prefix with the largest bound gives a reached value, and only the
+  prefixes whose bound comes within two bands of it are computed.  Every
+  entry that can win lies in one of them, so the candidates rescored are
+  those of the full table and the result is the same;
 * ``dinkelbach_solve`` maximizes a ratio of two such forms via the
   classical parametric sequence y <- num(delta)/den(delta), each inner
   problem solved exactly, so the y-sequence is nondecreasing.  Its stop is
@@ -34,7 +35,7 @@ McCormick-linked auxiliaries) is kept as a cross-check path via
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -105,9 +106,10 @@ def _suffix_rows(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _block_buffer(rows: int, cols: int) -> np.ndarray:
-    """The block buffer of the bound-ordered visit of one table size (about
-    2^15 float64 entries, 256 KB).  Kept for the process, like the tables,
-    so a visit does not map and fault in a fresh buffer above the
+    """The block buffer of the multi-block visit of one table size (about
+    2^15 float64 entries, 256 KB), into which the selected prefixes' rows
+    are computed ``rows`` at a time.  Kept for the process, like the
+    tables, so a visit does not map and fault in a fresh buffer above the
     allocator's mmap threshold on every call.  It is scratch space:
     nothing returned refers to it, and no two visits run at once."""
     return np.empty((rows, cols))
@@ -115,7 +117,7 @@ def _block_buffer(rows: int, cols: int) -> np.ndarray:
 
 def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
     """Canonical indices of the table entries near the maximum, ascending,
-    and the number of prefixes whose block of the table was computed.
+    and the number of prefixes whose row of the table was computed.
 
     With delta = [a, q], a = [1, p], the table value is a^T S11 a +
     q^T S22 q + a^T (2 S12) q.  The row values are folded into one product,
@@ -126,15 +128,17 @@ def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
     maximum; the band is far above the rounding of the table and of
     ``quad_form_value`` at any scale.
 
-    A table of one block is one product.  A larger table is visited prefix
-    by prefix in decreasing order of the bound u(a) = a^T S11 a +
-    max_q q^T S22 q + ||2 S12^T a||_1, which no entry of prefix a exceeds,
-    in blocks that double from one row up to the block size, and the visit
-    stops once the next bound is below ``top - 2 band`` (``top``: the
-    largest entry so far).  An entry within the band of the maximum lies in
-    a prefix whose bound reaches ``top - band`` up to rounding, and the
-    second band covers that rounding, so every such entry is computed, the
-    maximum among them; the hits are the same as those of the full table.
+    A table of one block is one product.  In a larger table no entry of
+    prefix a exceeds the bound u(a) = a^T S11 a + max_q q^T S22 q +
+    ||2 S12^T a||_1.  The row of the prefix with the largest bound is
+    computed first, and its maximum ``reached`` is a value the table
+    reaches.  Then every prefix whose bound reaches ``reached - 2 band`` is
+    computed, in canonical order, in blocks of the buffer's rows.  An entry
+    within the band of the maximum lies in a prefix whose bound reaches
+    ``reached - band`` up to rounding, and the second band covers that
+    rounding, so every such entry is computed, the maximum among them; the
+    hits are the same as those of the full table, and ascending as
+    computed.
     """
     n = s.shape[0]
     k = n - n // 2
@@ -153,32 +157,25 @@ def _table_hits(s: np.ndarray) -> tuple[np.ndarray, int]:
         flat = (lhs @ rhs).ravel()
         return np.flatnonzero(flat >= float(flat.max()) - band), len(pre)
 
-    neg_bound = -(lhs[:, -2] + float(rhs[-1].max())
-                  + np.abs(lhs[:, :-2]) @ np.ones(n // 2))
-    order = np.argsort(neg_bound, kind="stable")
-    # ascending, so the prefixes whose bound reaches a level are those
-    # before its searchsorted position
-    neg_bound = neg_bound[order]
+    bound = (lhs[:, -2] + float(rhs[-1].max())
+             + np.abs(lhs[:, :-2]) @ np.ones(n // 2))
+    reached = float((lhs[int(bound.argmax())] @ rhs).max())
+    visit = np.flatnonzero(bound >= reached - 2.0 * band)
     buf = _block_buffer(rows, n_suf)
-    top, size, visited, hits, hit_values = -np.inf, 1, 0, [], []
-    while True:
-        reach = int(neg_bound.searchsorted(2.0 * band - top, side="right"))
-        if visited >= reach:
-            break
-        chunk = order[visited:min(visited + size, reach)]
+    top, hits, hit_values = -np.inf, [], []
+    for start in range(0, len(visit), rows):
+        chunk = visit[start:start + rows]
         block = buf[:len(chunk)]
         np.matmul(lhs[chunk], rhs, out=block)
         block_top = float(block.max())
         top = max(top, block_top)
-        visited += len(chunk)
-        size = min(2 * size, rows)
         if block_top < top - band:
             continue
         row, col = np.nonzero(block >= top - band)
         hits.append(chunk[row] * n_suf + col)
         hit_values.append(block[row, col])
     hits = np.concatenate(hits)
-    return np.sort(hits[np.concatenate(hit_values) >= top - band]), visited
+    return hits[np.concatenate(hit_values) >= top - band], len(visit)
 
 
 def _near_max_vectors(s: np.ndarray):
@@ -229,9 +226,14 @@ def quad_binary_max(r: np.ndarray, initial: np.ndarray | None = None,
 class RatioProblem:
     """max_{delta} (delta^H numerator delta) / (delta^H denominator delta).
 
-    ``numerator`` must be Hermitian PSD and ``denominator`` Hermitian with
-    a positive quadratic form on sign vectors (PSD suffices in practice;
-    positivity is still verified on every iterate).
+    Built from matrices, ``numerator`` must be Hermitian PSD and
+    ``denominator`` Hermitian with a positive quadratic form on sign
+    vectors (PSD suffices in practice; positivity is still verified on
+    every iterate), and both are checked here.  :meth:`least_squares`
+    builds the ratio of a least-squares fit from its data instead and
+    checks only that the data are finite: its matrices are PSD by
+    construction.  The matrices are not to be changed after construction:
+    their real parts, all that any value here depends on, are cached.
     """
 
     numerator: np.ndarray
@@ -252,13 +254,39 @@ class RatioProblem:
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} must be positive semidefinite") from None
 
+    @classmethod
+    def least_squares(cls, phi: np.ndarray, y: np.ndarray) -> "RatioProblem":
+        """The ratio (Phi^H y)(Phi^H y)^H over Phi^H Phi of fitting y by
+        gamma Phi delta, both PSD by construction and so not re-checked.
+        Raises :class:`DegenerateRatioError` when Phi^H y or Phi^H Phi is
+        not finite."""
+        phi_h = phi.conj().T
+        v = phi_h @ y
+        gram = phi_h @ phi
+        if not (np.isfinite(v).all() and np.isfinite(gram).all()):
+            raise DegenerateRatioError("fit data Phi^H y or Phi^H Phi is not finite")
+        prob = cls.__new__(cls)
+        prob.numerator = np.outer(v, v.conj())
+        prob.denominator = gram
+        return prob
+
     @property
     def n(self) -> int:
         return self.numerator.shape[0]
 
+    @cached_property
+    def num_re(self) -> np.ndarray:
+        """The numerator's real part, contiguous."""
+        return np.ascontiguousarray(np.real(self.numerator))
+
+    @cached_property
+    def den_re(self) -> np.ndarray:
+        """The denominator's real part, contiguous."""
+        return np.ascontiguousarray(np.real(self.denominator))
+
     def ratio(self, delta: np.ndarray) -> float:
-        num = quad_form_value(self.numerator, delta)
-        den = quad_form_value(self.denominator, delta)
+        num = quad_form_value(self.num_re, delta)
+        den = quad_form_value(self.den_re, delta)
         if den <= 0:
             raise DegenerateRatioError("denominator vanished on a sign vector")
         return num / den
@@ -282,17 +310,23 @@ def dinkelbach_solve(prob: RatioProblem, delta_init: np.ndarray | None = None,
     cannot raise y certifies delta a global ratio maximizer.  Stops once y
     rises by at most ``tol * max(1, |y|)``: an absolute test for |y| < 1,
     which echo-scale ratios (about 1e-13) pass after the first step.
+
+    The steps work on the problem's cached real parts: y is real, so
+    num_re - y den_re equals the real part of numerator - y denominator
+    entry for entry, and each inner problem is a real matrix.
     """
     delta = np.ones(prob.n) if delta_init is None else np.asarray(delta_init, float)
     y = prob.ratio(delta)
     trace = [y]
     converged = False
     iterations = 0
+    num_re, den_re = prob.num_re, prob.den_re
+    num_max, den_max = float(np.abs(num_re).max()), float(np.abs(den_re).max())
     for iterations in range(1, max_iters + 1):
-        shifted = prob.numerator - y * prob.denominator
-        # Hermitian up to its operands' rounding, which is all of it if they cancel
-        scale = np.abs(prob.numerator).max() + abs(y) * np.abs(prob.denominator).max()
-        res = quad_binary_max(shifted, initial=delta, scale=float(scale))
+        shifted = num_re - y * den_re
+        # symmetric up to its operands' rounding, which is all of it if they cancel
+        scale = num_max + abs(y) * den_max
+        res = quad_binary_max(shifted, initial=delta, scale=scale)
         delta = res.delta
         y_new = prob.ratio(delta)
         trace.append(y_new)

@@ -196,15 +196,15 @@ def joint_ml(y: np.ndarray, phi: np.ndarray,
     """ML fit of (gamma, delta) for one hypothesis.
 
     Profiling out gamma reduces the fit to maximizing the Rayleigh-type
-    ratio of Phi^H y y^H Phi over Phi^H Phi on sign vectors; the residual
+    ratio of Phi^H y y^H Phi over Phi^H Phi on sign vectors, built by
+    :meth:`RatioProblem.least_squares` without the matrix checks (a
+    non-finite Phi or y raises :class:`DegenerateRatioError`); the residual
     is ||y - gamma Phi delta||^2 at the fitted gamma and delta, formed
     directly, not as ||y||^2 minus the ratio, which cancels.  At echo
     scales the Dinkelbach stop ends the fit after one inner solve, so
     delta need not maximize the ratio.
     """
-    v = phi.conj().T @ y
-    prob = RatioProblem(numerator=np.outer(v, v.conj()),
-                        denominator=phi.conj().T @ phi)
+    prob = RatioProblem.least_squares(phi, y)
     res = dinkelbach_solve(prob, delta_init=delta_init)
     gamma = estimate_gamma(phi, res.delta, y)
     residual = float(np.linalg.norm(y - gamma * (phi @ res.delta)) ** 2)
@@ -298,7 +298,7 @@ def run_cycle(scene: Scene, g_hat: np.ndarray, grid: HypothesisGrid,
             fit = joint_ml(y, phi, delta_init=belief.deltas[j])
         except DegenerateRatioError as exc:
             raise DegenerateHypothesisError(
-                f"hypothesis {j}: {exc}") from exc
+                f"cycle {belief.cycle + 1}, hypothesis {j}: {exc}") from exc
         residuals[j] = fit.residual
         gammas[j] = fit.gamma
         deltas[j] = fit.delta

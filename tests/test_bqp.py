@@ -219,8 +219,8 @@ def test_split_tables_cached_read_only():
 
 
 def block_oracle_hits(s: np.ndarray) -> np.ndarray:
-    """The full-table block loop the bound-ordered visit replaced, kept as
-    the reference for it: every block of the table is computed, in
+    """The full-table block loop, kept as the reference for the multi-block
+    visit of a table of more than one block: every block of the table is computed, in
     canonical order, and the canonical indices of the entries within the
     band of the final maximum are returned in canonical order."""
     n = s.shape[0]
@@ -427,6 +427,72 @@ def test_cancelling_shifted_matrix_accepted():
                                                 denominator=xi))
             assert res.converged
             assert res.ratio == pytest.approx(3.7, rel=1e-12)
+
+
+def matrix_route_fit(y, phi, delta_init):
+    """joint_ml's fit through the checked matrix constructor of
+    RatioProblem: (problem, Dinkelbach result, gamma, residual)."""
+    v = phi.conj().T @ y
+    prob = RatioProblem(numerator=np.outer(v, v.conj()),
+                        denominator=phi.conj().T @ phi)
+    res = dinkelbach_solve(prob, delta_init=delta_init)
+    gamma = localize.estimate_gamma(phi, res.delta, y)
+    residual = float(np.linalg.norm(y - gamma * (phi @ res.delta)) ** 2)
+    return prob, res, gamma, residual
+
+
+def test_least_squares_route_matches_matrix_route():
+    rng = np.random.default_rng(52)
+    for n in (4, 10, 17, 20):
+        for scale in (1.0, 1e-13):
+            phi = scale * crandn(rng, 2 * n, n)
+            y = scale * crandn(rng, 2 * n)
+            for warm in (None, 1.0 - 2.0 * rng.integers(0, 2, n)):
+                prob, res, gamma, residual = matrix_route_fit(y, phi, warm)
+                fit = joint_ml(y, phi, delta_init=warm)
+                assert np.array_equal(fit.delta, res.delta)
+                assert fit.gamma == gamma
+                assert fit.residual == residual
+                fast = dinkelbach_solve(RatioProblem.least_squares(phi, y),
+                                        delta_init=warm)
+                assert np.array_equal(fast.delta, res.delta)
+                assert np.array_equal(fast.y_trace, res.y_trace)
+                assert fast.iterations == res.iterations
+                # every inner problem, real as solved or complex as built
+                for y_k in res.y_trace[:-1]:
+                    shifted = prob.numerator - y_k * prob.denominator
+                    real = prob.num_re - y_k * prob.den_re
+                    assert np.array_equal(np.real(shifted), real)
+                    bound = (np.abs(prob.numerator).max()
+                             + abs(y_k) * np.abs(prob.denominator).max())
+                    a = quad_binary_max(shifted, scale=bound)
+                    b = quad_binary_max(real, scale=bound)
+                    assert np.array_equal(a.delta, b.delta)
+                    assert a.value == b.value
+
+
+def test_least_squares_fits_factor_nothing(monkeypatch):
+    # the matrix constructor checks PSD by Cholesky; the fits of a
+    # campaign build their problems from (Phi, y) and factor nothing
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def count(a, *args, **kwargs):
+        calls.append(len(a))
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", count)
+    harness.run_localization_campaign(harness.spec_from_dict({
+        "scene": {"m_antennas": 4, "n_x": 5, "n_y": 2,
+                  "sigma2_dbm": -120.0, "target_rcs_amplitude": 2e-5},
+        "pilot": {"m_t": 1, "snr_db": 40.0},
+        "localization": {"n_grids": 4, "snapshots": 8,
+                         "max_cycles": 2, "threshold": 1.0},
+        "points": [{"arm": "random"}],
+        "trials": 1, "master_seed": 110}))
+    assert calls == []
+    random_ratio_problem(np.random.default_rng(53), 5)
+    assert calls == [5, 5]
 
 
 def test_ratio_problem_validation():

@@ -337,6 +337,22 @@ def test_run_cycle_enforces_power_budget():
                   power_budget=1.0)
 
 
+def test_run_cycle_names_cycle_and_hypothesis_of_non_finite_fit():
+    # one NaN in the channel estimate makes Phi^H y non-finite for every
+    # hypothesis, so the first fit fails and names its cycle and hypothesis
+    cfg = noiseless_config(n_x=5, n_y=2)
+    scene = synthesize_scene(cfg, seed=3)
+    g_hat = scene.G.copy()
+    g_hat[4, 1] = np.nan
+    grid = build_hypothesis_grid(cfg, 4)
+    belief = initial_belief(4, cfg.n_elements)
+    x = np.ones(cfg.m_antennas, dtype=complex) / np.sqrt(cfg.m_antennas)
+    theta = np.ones(cfg.n_elements, dtype=complex)
+    with pytest.raises(DegenerateHypothesisError,
+                       match=r"^cycle 1, hypothesis 0: .*not finite"):
+        run_cycle(scene, g_hat, grid, belief, x, theta, snapshots=4)
+
+
 def test_noiseless_true_log_probability_nondecreasing():
     cfg = noiseless_config(n_x=3, n_y=3)
     for seed in range(3):
